@@ -33,7 +33,7 @@ use flexpipe_serving::{
     Scenario,
 };
 use flexpipe_sim::{SimDuration, SimRng, SimTime};
-use flexpipe_workload::{ArrivalSpec, LengthProfile, WorkloadSpec};
+use flexpipe_workload::{check_arrival_budget, ArrivalSpec, LengthProfile, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
 use crate::report::{summarize_cell, CellMetrics};
@@ -231,7 +231,8 @@ impl BenchSpec {
                 return Err(format!("duplicate admission mode `{}`", m.label()));
             }
         }
-        Ok(())
+        let top_rate = self.rates.iter().copied().fold(0.0, f64::max);
+        check_arrival_budget(top_rate, self.warmup_secs + self.horizon_secs)
     }
 
     /// The default high-rate bench (`fleet bench init`): FlexPipe on the

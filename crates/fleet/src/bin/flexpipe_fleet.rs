@@ -3,12 +3,10 @@
 //!
 //! ```text
 //! flexpipe-fleet init [spec.json]                 write a 24-cell template sweep
-//! flexpipe-fleet run <spec.{json,toml}> [options] execute the sweep in parallel
+//! flexpipe-fleet run <spec.json> [options]        execute the sweep in parallel
 //!     --out <report.json>     write the JSON artifact (default: <spec>.report.json)
 //!     --threads <n>           worker threads (default: one per core)
 //!     --quiet                 suppress per-cell progress on stderr
-//!     --admission <mode>      `indexed` (default) or `naive` — byte-identical
-//!                             reports, different wall-clock
 //!     --gate <baseline.json>  one-shot CI mode: gate the fresh report
 //!                             against a committed baseline after the run
 //!     --tolerance <frac>      gate tolerance when --gate is given
@@ -25,21 +23,20 @@
 //!                             if any index diverges from its naive reference
 //!     --quiet                 suppress per-cell progress on stderr
 //! flexpipe-fleet campaign init [campaign.json]    write the CI campaign template
-//! flexpipe-fleet campaign <campaign.(json|toml)> [options]
+//! flexpipe-fleet campaign <campaign.json> [options]
 //!     --out-dir <dir>         artifact directory (default <name>.campaign):
 //!                             one <spec>.report.json per entry + campaign.json
 //!     --cache <dir>           override the spec's cache directory
 //!     --no-cache              compute every cell, touch no cache
 //!     --threads <n>           worker threads (default: one per core)
 //!     --quiet                 suppress per-cell progress on stderr
-//!     --admission <mode>      `indexed` (default) or `naive`
 //!     --assert-warm           exit 2 unless every cell was a cache hit
 //!     --gate <dir>            gate each sweep artifact against the same-named
 //!                             report in <dir>; exit 2 on any regression
 //!     --tolerance <frac>      gate tolerance when --gate is given
 //!     --verbose               per-cell start/finish lines with cache
 //!                             hit/miss and wall ms on stderr
-//! flexpipe-fleet campaign assemble <campaign.(json|toml)> [options]
+//! flexpipe-fleet campaign assemble <campaign.json> [options]
 //!     --cache <dir>           override the spec's cache directory
 //!     --out-dir <dir>         artifact directory (default <name>.campaign);
 //!                             assembles the manifest + reports from the
@@ -47,10 +44,8 @@
 //!                             Exit 2 naming every missing key when the
 //!                             cache is incomplete: the push-button "did
 //!                             the worker fleet finish?" check
-//! flexpipe-fleet worker <campaign.(json|toml)> [options]
+//! flexpipe-fleet worker <campaign.json> [options]
 //!     --cache <dir>           override the spec's cache directory
-//!     --store localdisk|log   backend for a fresh cache dir (an existing
-//!                             dir keeps its detected backend)
 //!     --shard i/n             deterministic shard mode: take exactly the
 //!                             cells whose key hashes to shard i of n
 //!                             (stateless, no coordination)
@@ -63,14 +58,12 @@
 //!                             draining)
 //!     --threads <n>           worker threads (default: one per core)
 //!     --quiet                 suppress per-cell progress on stderr
-//!     --admission <mode>      `indexed` (default) or `naive`
-//! flexpipe-fleet trace record <spec.(json|toml)> [options]
+//! flexpipe-fleet trace record <spec.json> [options]
 //!     --cell <id>             cell to trace (default: the grid's first cell)
 //!     --mode off|ring[:N]|full  recorder mode (default full)
 //!     --out <trace.jsonl>     trace file (default <cell-id>.trace.jsonl);
 //!                             virtual-time stamped, byte-stable across
-//!                             thread counts and admission modes
-//!     --admission <mode>      `indexed` (default) or `naive`
+//!                             thread counts
 //! flexpipe-fleet trace summarize <trace.jsonl>    per-kind counts + occupancy table
 //! flexpipe-fleet trace diff <a.jsonl> <b.jsonl>   semantic first-divergence report
 //!                                                 (per-entity, modulo the commutation
@@ -144,18 +137,22 @@
 //! flexpipe-fleet cache stats <dir> [--claim-ttl <dur>]
 //!                                                 cache entry / claim / size / age
 //!                                                 summary (claims counted separately
-//!                                                 from cell entries)
+//!                                                 from cell entries); exit 1 if
+//!                                                 <dir> does not exist
 //! flexpipe-fleet cache gc <dir> [--max-age <dur>] [--max-bytes <N>]
 //!                                                 drop entries older than e.g. 7d
 //!                                                 and/or LRU-evict (oldest first)
 //!                                                 down to a total size cap; live
-//!                                                 worker claims are never reaped
+//!                                                 worker claims are never reaped;
+//!                                                 exit 1 if <dir> does not exist
 //! flexpipe-fleet fingerprint                      print the cell-cache salt
 //! flexpipe-fleet compare <report.json>            render the tables of an artifact
 //! flexpipe-fleet gate <report.json> --baseline <base.json> [options]
 //!     --tolerance <frac>      allowed relative degradation (default 0.02)
 //!     --strict-cells          grid changes fail the gate
 //! ```
+//!
+//! Specs and campaigns are JSON; a `.toml` path is refused with exit 1.
 //!
 //! Exit codes: 0 success / gate pass, 1 usage or I/O error, 2 gate /
 //! `--assert-warm` / bench-mode-mismatch fail.
@@ -172,7 +169,7 @@ use flexpipe_fleet::{
     profile_on_tick, profile_on_tick_calm, profile_on_tick_flexpipe, record_cell_trace, run_bench,
     run_campaign, run_sweep, run_worker, AssembleOutcome, BenchSpec, CampaignOptions, CampaignSpec,
     CellCache, FleetReport, GateConfig, RunOptions, SpecReport, SpeedupGate, SpeedupGateReport,
-    StoreKind, SweepSpec, WorkerOptions,
+    SweepSpec, WorkerOptions,
 };
 use flexpipe_gateway::{
     pinned_live_spec, replay_with, run_live_bench, serve_with, LeastLoadedSpillover,
@@ -185,7 +182,7 @@ use flexpipe_serving::{AdmissionMode, ObservedRun, TraceMode, ENGINE_SEMANTICS_V
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  flexpipe-fleet init [spec.json]\n  flexpipe-fleet run <spec.(json|toml)> [--out report.json] [--threads N] [--quiet] [--verbose] [--admission indexed|naive] [--gate baseline.json [--tolerance 0.02]]\n  flexpipe-fleet bench init [bench.json]\n  flexpipe-fleet bench <bench.(json|toml)> [--out report.json] [--threads N] [--rates 100,200] [--hot-paths] [--quiet]\n  flexpipe-fleet campaign init [campaign.json]\n  flexpipe-fleet campaign <campaign.(json|toml)> [--out-dir DIR] [--cache DIR | --no-cache] [--store localdisk|log] [--threads N] [--quiet] [--verbose] [--admission indexed|naive] [--assert-warm] [--gate DIR [--tolerance 0.02]]\n  flexpipe-fleet campaign assemble <campaign.(json|toml)> [--cache DIR] [--out-dir DIR]\n  flexpipe-fleet worker <campaign.(json|toml)> [--cache DIR] [--store localdisk|log] [--shard i/n | --claim-ttl DUR] [--worker-id ID] [--max-cells N] [--threads N] [--quiet] [--admission indexed|naive]\n  flexpipe-fleet trace record <spec.(json|toml)> [--cell ID] [--mode off|ring[:N]|full] [--out trace.jsonl] [--admission indexed|naive]\n  flexpipe-fleet trace summarize <trace.jsonl>\n  flexpipe-fleet trace diff <a.jsonl> <b.jsonl> [--textual]\n  flexpipe-fleet trace profile [--instances N] [--min-speedup X] [--json]\n  flexpipe-fleet serve init [serve.json]\n  flexpipe-fleet serve <serve.json> [--out-dir DIR] [--time-scale X | --unpaced] [--spill least-loaded[:T]]\n  flexpipe-fleet serve replay <recording.json> [--out-dir DIR]\n  flexpipe-fleet bench --live [--spec serve.json] [--shards 1,2,4] [--out artifact.json] [--min-scaling 1.6] [--horizon SECS] [--rate R] [--json]\n  flexpipe-fleet check equiv <a.jsonl> <b.jsonl>\n  flexpipe-fleet check equiv --cross-shard [--shards N] [--spec serve.json]\n  flexpipe-fleet check explore [--scenario NAME] [--max-schedules N] [--no-prune]\n  flexpipe-fleet check pin\n  flexpipe-fleet cache stats <dir> [--claim-ttl DUR]\n  flexpipe-fleet cache gc <dir> [--max-age <90s|15m|12h|7d>] [--max-bytes <N>]\n  flexpipe-fleet fingerprint\n  flexpipe-fleet compare <report.json>\n  flexpipe-fleet gate <report.json> --baseline <baseline.json> [--tolerance 0.02] [--strict-cells]"
+        "usage:\n  flexpipe-fleet init [spec.json]\n  flexpipe-fleet run <spec.json> [--out report.json] [--threads N] [--quiet] [--verbose] [--gate baseline.json [--tolerance 0.02]]\n  flexpipe-fleet bench init [bench.json]\n  flexpipe-fleet bench <bench.json> [--out report.json] [--threads N] [--rates 100,200] [--hot-paths] [--quiet]\n  flexpipe-fleet campaign init [campaign.json]\n  flexpipe-fleet campaign <campaign.json> [--out-dir DIR] [--cache DIR | --no-cache] [--threads N] [--quiet] [--verbose] [--assert-warm] [--gate DIR [--tolerance 0.02]]\n  flexpipe-fleet campaign assemble <campaign.json> [--cache DIR] [--out-dir DIR]\n  flexpipe-fleet worker <campaign.json> [--cache DIR] [--shard i/n | --claim-ttl DUR] [--worker-id ID] [--max-cells N] [--threads N] [--quiet]\n  flexpipe-fleet trace record <spec.json> [--cell ID] [--mode off|ring[:N]|full] [--out trace.jsonl]\n  flexpipe-fleet trace summarize <trace.jsonl>\n  flexpipe-fleet trace diff <a.jsonl> <b.jsonl> [--textual]\n  flexpipe-fleet trace profile [--instances N] [--min-speedup X] [--json]\n  flexpipe-fleet serve init [serve.json]\n  flexpipe-fleet serve <serve.json> [--out-dir DIR] [--time-scale X | --unpaced] [--spill least-loaded[:T]]\n  flexpipe-fleet serve replay <recording.json> [--out-dir DIR]\n  flexpipe-fleet bench --live [--spec serve.json] [--shards 1,2,4] [--out artifact.json] [--min-scaling 1.6] [--horizon SECS] [--rate R] [--json]\n  flexpipe-fleet check equiv <a.jsonl> <b.jsonl>\n  flexpipe-fleet check equiv --cross-shard [--shards N] [--spec serve.json]\n  flexpipe-fleet check explore [--scenario NAME] [--max-schedules N] [--no-prune]\n  flexpipe-fleet check pin\n  flexpipe-fleet cache stats <dir> [--claim-ttl DUR]\n  flexpipe-fleet cache gc <dir> [--max-age <90s|15m|12h|7d>] [--max-bytes <N>]\n  flexpipe-fleet fingerprint\n  flexpipe-fleet compare <report.json>\n  flexpipe-fleet gate <report.json> --baseline <baseline.json> [--tolerance 0.02] [--strict-cells]"
     );
     ExitCode::from(1)
 }
@@ -244,28 +241,6 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
     }
 }
 
-/// Pulls `--admission indexed|naive` out of the argument list.
-fn parse_admission(args: &mut Vec<String>) -> Result<AdmissionMode, ExitCode> {
-    match take_flag_value(args, "--admission")? {
-        None => Ok(AdmissionMode::default()),
-        Some(v) => AdmissionMode::parse(&v).ok_or_else(|| {
-            eprintln!("--admission must be `indexed` or `naive`, got `{v}`");
-            ExitCode::from(1)
-        }),
-    }
-}
-
-/// Pulls `--store localdisk|log` out of the argument list.
-fn parse_store(args: &mut Vec<String>) -> Result<Option<StoreKind>, ExitCode> {
-    match take_flag_value(args, "--store")? {
-        None => Ok(None),
-        Some(v) => StoreKind::parse(&v).map(Some).ok_or_else(|| {
-            eprintln!("--store must be `localdisk` or `log`, got `{v}`");
-            ExitCode::from(1)
-        }),
-    }
-}
-
 /// Parses a campaign file and resolves its base directory (entry paths
 /// and the spec's `cache_dir` resolve relative to the campaign file, so
 /// every campaign-shaped subcommand behaves identically from any working
@@ -312,7 +287,6 @@ fn cmd_run(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
     };
     let quiet = take_flag(&mut args, "--quiet");
     let verbose = take_flag(&mut args, "--verbose");
-    let admission = parse_admission(&mut args)?;
     let gate_baseline = take_flag_value(&mut args, "--gate")?;
     let tolerance = match take_flag_value(&mut args, "--tolerance")? {
         Some(t) => t.parse::<f64>().map_err(|_| {
@@ -334,7 +308,6 @@ fn cmd_run(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
         &RunOptions {
             threads,
             quiet,
-            admission,
             verbose,
         },
     )
@@ -857,7 +830,6 @@ fn cmd_campaign(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
     let out_dir = take_flag_value(&mut args, "--out-dir")?;
     let cache_override = take_flag_value(&mut args, "--cache")?;
     let no_cache = take_flag(&mut args, "--no-cache");
-    let store = parse_store(&mut args)?;
     let threads = match take_flag_value(&mut args, "--threads")? {
         Some(t) => t.parse::<usize>().map_err(|_| {
             eprintln!("--threads needs an integer");
@@ -867,7 +839,6 @@ fn cmd_campaign(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
     };
     let quiet = take_flag(&mut args, "--quiet");
     let verbose = take_flag(&mut args, "--verbose");
-    let admission = parse_admission(&mut args)?;
     let assert_warm = take_flag(&mut args, "--assert-warm");
     let gate_dir = take_flag_value(&mut args, "--gate")?;
     let tolerance = match take_flag_value(&mut args, "--tolerance")? {
@@ -903,11 +874,9 @@ fn cmd_campaign(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
             run: RunOptions {
                 threads,
                 quiet,
-                admission,
                 verbose,
             },
             cache_dir,
-            store,
         },
     )
     .map_err(|e| {
@@ -1026,7 +995,6 @@ fn cmd_campaign_assemble(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
 /// `fleet worker`: one distributed campaign worker process.
 fn cmd_worker(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
     let cache_override = take_flag_value(&mut args, "--cache")?;
-    let store = parse_store(&mut args)?;
     let shard = match take_flag_value(&mut args, "--shard")? {
         None => None,
         Some(v) => {
@@ -1066,7 +1034,6 @@ fn cmd_worker(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
     };
     let quiet = take_flag(&mut args, "--quiet");
     let verbose = take_flag(&mut args, "--verbose");
-    let admission = parse_admission(&mut args)?;
     let [spec_path] = args.as_slice() else {
         return Err(usage());
     };
@@ -1080,13 +1047,11 @@ fn cmd_worker(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
         run: RunOptions {
             threads,
             quiet,
-            admission,
             verbose,
         },
         shard,
         claim_ttl,
         max_cells,
-        store,
         ..Default::default()
     };
     if let Some(id) = worker_id {
@@ -1116,7 +1081,6 @@ fn cmd_trace(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
                 })?,
             };
             let out = take_flag_value(&mut args, "--out")?;
-            let admission = parse_admission(&mut args)?;
             let [spec_path] = args.as_slice() else {
                 return Err(usage());
             };
@@ -1138,7 +1102,7 @@ fn cmd_trace(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
                 })?,
                 None => spec.expand().remove(0),
             };
-            let (metrics, observed) = record_cell_trace(&spec, &cell, admission, mode);
+            let (metrics, observed) = record_cell_trace(&spec, &cell, AdmissionMode::Indexed, mode);
             let out_path = out.unwrap_or_else(|| format!("{}.trace.jsonl", cell.id()));
             write(&out_path, &observed.trace.to_jsonl())?;
             eprintln!(
@@ -1522,7 +1486,7 @@ fn cmd_cache(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
             let [dir] = args.as_slice() else {
                 return Err(usage());
             };
-            let cache = CellCache::open(Path::new(dir)).map_err(|e| {
+            let cache = CellCache::open_existing(Path::new(dir)).map_err(|e| {
                 eprintln!("cannot open cache {dir}: {e}");
                 ExitCode::from(1)
             })?;
@@ -1531,15 +1495,9 @@ fn cmd_cache(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
                 ExitCode::from(1)
             })?;
             println!(
-                "cache {dir} ({}): {} entries ({} sweep, {} bench), {} stale-salt, {} foreign, \
+                "cache {dir}: {} entries ({} sweep, {} bench), {} stale-salt, {} foreign, \
                  {} bytes",
-                cache.backend().kind(),
-                s.entries,
-                s.sweep_cells,
-                s.bench_cells,
-                s.stale_salt,
-                s.foreign,
-                s.bytes
+                s.entries, s.sweep_cells, s.bench_cells, s.stale_salt, s.foreign, s.bytes
             );
             println!(
                 "claims: {} live, {} stale (older than {claim_ttl:?}; reaped by workers, \
@@ -1578,7 +1536,7 @@ fn cmd_cache(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
             let [dir] = args.as_slice() else {
                 return Err(usage());
             };
-            let cache = CellCache::open(Path::new(dir)).map_err(|e| {
+            let cache = CellCache::open_existing(Path::new(dir)).map_err(|e| {
                 eprintln!("cannot open cache {dir}: {e}");
                 ExitCode::from(1)
             })?;

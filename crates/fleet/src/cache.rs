@@ -9,9 +9,9 @@
 //!    that cannot (`SweepSpec::cell_semantics` /
 //!    `BenchSpec::cell_semantics`). Canonicalization sorts map keys
 //!    recursively and serializes through the typed spec structs, so JSON
-//!    key order, TOML-lite formatting, comments and numeric spelling
-//!    (`120` vs `120.0`) all hash identically while any semantically
-//!    meaningful edit re-keys exactly the dirty cells;
+//!    key order and numeric spelling (`120` vs `120.0`) hash identically
+//!    while any semantically meaningful edit re-keys exactly the dirty
+//!    cells;
 //! 2. the **cell id**, folded in via the semantics' seed/coordinates (two
 //!    cells with identical semantics *are* the same experiment — sharing
 //!    the entry is correct, not a collision);
@@ -23,34 +23,31 @@
 //!    built from different engine semantics address disjoint keys, so a
 //!    stale binary can never poison a newer campaign's cells.
 //!
-//! Storage is pluggable behind the [`CacheStore`] trait
-//! ([`crate::store`]): the default [`crate::store::LocalDiskStore`] keeps
-//! one atomically-renamed JSON file per entry under
-//! `<dir>/<key[0..2]>/<key>.json` (safe to share over NFS or rsync), and
-//! the single-file [`crate::store::LogStore`] append log proves the seam.
-//! Whatever the backend, entries land atomically — a killed run never
-//! leaves a torn entry, and a resumed run either sees a complete result
-//! or recomputes. Truncated and panicked cells are **never** cached — an
-//! interrupted (step-budget-truncated) cell must be recomputed, which is
-//! what makes kill-and-resume byte-identical to an uninterrupted run.
+//! Storage is [`LocalDiskStore`] ([`crate::store`]): one
+//! atomically-renamed JSON file per entry under
+//! `<dir>/<key[0..2]>/<key>.json`, safe to share over NFS or rsync.
+//! Entries land atomically — a killed run never leaves a torn entry, and
+//! a resumed run either sees a complete result or recomputes. Truncated
+//! and panicked cells are **never** cached — an interrupted
+//! (step-budget-truncated) cell must be recomputed, which is what makes
+//! kill-and-resume byte-identical to an uninterrupted run.
 //!
-//! Worker claims (`<key>.claim` files / log claim records) ride in the
-//! same store but are bookkeeping, not results: `stats` counts them
-//! separately from cell entries, and `gc` **never** removes a live claim
-//! — stale claims are reaped only explicitly, by TTL.
+//! Worker claims (`<key>.claim` files) ride in the same store but are
+//! bookkeeping, not results: `stats` counts them separately from cell
+//! entries, and `gc` **never** removes a live claim — stale claims are
+//! reaped only explicitly, by TTL.
 //!
 //! Nothing wall-clock enters entry *contents*; `stats` / `gc` age entries
 //! by storage mtime, which stays outside every byte-compared artifact.
 
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize, Value};
 
 use crate::report::{CellMetrics, REPORT_VERSION};
-use crate::store::{open_store, CacheStore, ClaimInfo, ClaimOutcome, GcOutcome, StoreKind};
+use crate::store::{ClaimInfo, ClaimOutcome, GcOutcome, LocalDiskStore};
 
 /// Cache on-disk format version; bump on entry-layout changes.
 pub const CACHE_FORMAT_VERSION: u32 = 1;
@@ -168,42 +165,38 @@ pub struct CacheStats {
     pub newest_secs: u64,
 }
 
-/// A content-addressed cell cache over a pluggable [`CacheStore`].
+/// A content-addressed cell cache over a [`LocalDiskStore`].
 #[derive(Debug, Clone)]
 pub struct CellCache {
-    store: Arc<dyn CacheStore>,
+    store: LocalDiskStore,
 }
 
 impl CellCache {
-    /// Opens (creating if needed) a cache at `dir` with backend
-    /// autodetection: an existing `cells.log` selects the append-log
-    /// store, anything else the localdisk layout.
+    /// Opens a cache at `dir`, creating the directory if needed (what
+    /// `campaign` and `worker` do).
     pub fn open(dir: &Path) -> io::Result<CellCache> {
-        CellCache::open_kind(dir, None)
-    }
-
-    /// Opens a cache at `dir` with an explicit backend preference. An
-    /// already-initialized directory keeps its detected backend (mixing
-    /// engines in one directory would split the cache invisibly).
-    pub fn open_kind(dir: &Path, kind: Option<StoreKind>) -> io::Result<CellCache> {
         Ok(CellCache {
-            store: open_store(dir, kind)?,
+            store: LocalDiskStore::open(dir)?,
         })
     }
 
-    /// Wraps an already-open storage engine.
-    pub fn with_store(store: Arc<dyn CacheStore>) -> CellCache {
-        CellCache { store }
+    /// Opens the cache at an existing `dir`: a missing directory is a
+    /// `NotFound` error and is not created (what the read and
+    /// maintenance commands `cache stats` / `cache gc` do, so a mistyped
+    /// path fails instead of reporting an empty cache).
+    pub fn open_existing(dir: &Path) -> io::Result<CellCache> {
+        if !dir.is_dir() {
+            return Err(io::Error::new(
+                io::ErrorKind::NotFound,
+                "no such cache directory",
+            ));
+        }
+        CellCache::open(dir)
     }
 
     /// The cache root.
     pub fn dir(&self) -> &Path {
         self.store.root()
-    }
-
-    /// The underlying storage engine.
-    pub fn backend(&self) -> &dyn CacheStore {
-        self.store.as_ref()
     }
 
     /// Loads the metrics cached under `key`, if a complete, matching
@@ -261,12 +254,13 @@ impl CellCache {
         Ok(true)
     }
 
-    /// Attempts to claim `key` for `worker` (see [`CacheStore::try_claim`]).
+    /// Attempts to claim `key` for `worker` (see
+    /// [`LocalDiskStore::try_claim`]).
     pub fn try_claim(&self, key: &str, worker: &str) -> io::Result<ClaimOutcome> {
         self.store.try_claim(key, worker)
     }
 
-    /// Heartbeats a held claim (see [`CacheStore::refresh_claim`]).
+    /// Heartbeats a held claim (see [`LocalDiskStore::refresh_claim`]).
     pub fn refresh_claim(&self, key: &str, worker: &str) -> io::Result<bool> {
         self.store.refresh_claim(key, worker)
     }
@@ -333,7 +327,7 @@ impl CellCache {
     }
 
     /// Removes every entry older than `max_age`. Live claims are never
-    /// touched (see [`CacheStore::gc`]).
+    /// touched (see [`LocalDiskStore::gc`]).
     pub fn gc(&self, max_age: Duration) -> io::Result<GcOutcome> {
         self.store.gc(Some(max_age), None)
     }
@@ -403,16 +397,11 @@ mod tests {
         dir
     }
 
-    /// Every cache-semantics test runs against both backends: the cache
-    /// layer must be backend-agnostic by construction.
-    fn both_backends(tag: &str, f: impl Fn(&CellCache)) {
-        for kind in [StoreKind::LocalDisk, StoreKind::Log] {
-            let dir = tmp(&format!("{tag}-{}", kind.name()));
-            let cache = CellCache::open_kind(&dir, Some(kind)).unwrap();
-            assert_eq!(cache.backend().kind(), kind.name());
-            f(&cache);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+    /// Runs `f` against a cache in a fresh directory, then removes it.
+    fn with_cache(tag: &str, f: impl Fn(&CellCache)) {
+        let dir = tmp(tag);
+        f(&CellCache::open(&dir).unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -475,7 +464,7 @@ mod tests {
 
     #[test]
     fn store_load_round_trips_and_refuses_incomplete_cells() {
-        both_backends("roundtrip", |cache| {
+        with_cache("roundtrip", |cache| {
             let m = tiny_metrics();
             assert!(cache.load("0123", u64::MAX).is_none());
             assert!(cache.store("0123", "sweep", "cell-a", &m).unwrap());
@@ -496,7 +485,7 @@ mod tests {
 
     #[test]
     fn entries_only_replay_under_budgets_they_fit() {
-        both_backends("budget", |cache| {
+        with_cache("budget", |cache| {
             let m = tiny_metrics(); // events = 1234
             cache.store("b001", "sweep", "cell", &m).unwrap();
             // A budget the cached run demonstrably fits: hit.
@@ -525,17 +514,13 @@ mod tests {
     }
 
     #[test]
-    fn backend_autodetection_is_sticky() {
-        let dir = tmp("detect");
-        // First open as log; a later open with no (or a conflicting)
-        // preference must keep finding the log.
-        let cache = CellCache::open_kind(&dir, Some(StoreKind::Log)).unwrap();
-        cache.store("aa11", "sweep", "s", &tiny_metrics()).unwrap();
-        let re = CellCache::open(&dir).unwrap();
-        assert_eq!(re.backend().kind(), "log");
-        assert!(re.load("aa11", u64::MAX).is_some());
-        let conflicted = CellCache::open_kind(&dir, Some(StoreKind::LocalDisk)).unwrap();
-        assert_eq!(conflicted.backend().kind(), "log");
+    fn open_existing_refuses_a_missing_dir_without_creating_it() {
+        let dir = tmp("missing");
+        let err = CellCache::open_existing(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        assert!(!dir.exists(), "a read-only open must not create the dir");
+        CellCache::open(&dir).unwrap();
+        assert!(CellCache::open_existing(&dir).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -569,7 +554,7 @@ mod tests {
 
     #[test]
     fn stats_count_claims_separately_and_gc_spares_them() {
-        both_backends("claimstats", |cache| {
+        with_cache("claimstats", |cache| {
             let m = tiny_metrics();
             cache.store("aa11", "sweep", "s", &m).unwrap();
             cache.try_claim("bb22", "w1").unwrap();

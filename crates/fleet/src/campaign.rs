@@ -1,7 +1,7 @@
 //! `fleet campaign`: resumable multi-spec campaigns over the
 //! content-addressed per-cell cache.
 //!
-//! A [`CampaignSpec`] (JSON or TOML-lite, like [`SweepSpec`]) lists sweep
+//! A [`CampaignSpec`] (JSON, like [`SweepSpec`]) lists sweep
 //! and bench spec files plus a shared cache directory. Running it expands
 //! every listed spec into its cell grid, flattens all grids into one job
 //! list on a single worker pool, and consults the [`crate::cache`] before
@@ -32,11 +32,9 @@ use crate::bench::{run_bench_cell, BenchCell, BenchCellResult, BenchReport, BENC
 use crate::cache::{cache_salt, cell_key, CellCache};
 use crate::report::{CellMetrics, CellResult, FleetReport};
 use crate::runner::{
-    effective_threads, failed_cell_metrics, parallel_indexed, run_cell_in_mode, FleetError,
-    RunOptions,
+    effective_threads, failed_cell_metrics, parallel_indexed, run_cell, FleetError, RunOptions,
 };
 use crate::spec::{Cell, SweepSpec};
-use crate::store::StoreKind;
 use crate::BenchSpec;
 
 /// Campaign manifest format version.
@@ -301,12 +299,7 @@ impl CampaignPlan {
     /// Executes flat job `i` with panic containment: a panicking cell
     /// becomes a failed-cell metrics record (never cached, visible in
     /// the artifact) instead of taking down the worker.
-    pub fn compute(
-        &self,
-        i: usize,
-        setups: &[(ModelId, PaperSetup)],
-        admission: flexpipe_serving::AdmissionMode,
-    ) -> CellMetrics {
+    pub fn compute(&self, i: usize, setups: &[(ModelId, PaperSetup)]) -> CellMetrics {
         let (ei, ci) = self.jobs[i];
         let entry = &self.entries[ei];
         let setup = setups
@@ -315,7 +308,7 @@ impl CampaignPlan {
             .map(|(_, s)| s)
             .expect("setup prebuilt for every model in the plan");
         match catch_unwind(AssertUnwindSafe(|| match entry {
-            LoadedSpec::Sweep(s, cells) => run_cell_in_mode(s, &cells[ci], setup, admission),
+            LoadedSpec::Sweep(s, cells) => run_cell(s, &cells[ci], setup),
             LoadedSpec::Bench(s, cells) => run_bench_cell(s, &cells[ci], setup).0,
         })) {
             Ok(m) => m,
@@ -334,14 +327,11 @@ impl CampaignPlan {
 /// Campaign runner configuration.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignOptions {
-    /// Worker pool / progress / admission options (shared with sweeps).
+    /// Worker pool / progress options (shared with sweeps).
     pub run: RunOptions,
     /// Cache directory; `None` disables both lookups and stores
     /// (`--no-cache`).
     pub cache_dir: Option<PathBuf>,
-    /// Storage backend preference for a fresh cache directory
-    /// (`--store`); an initialized directory keeps its detected backend.
-    pub store: Option<StoreKind>,
 }
 
 /// Cache interaction counters of one campaign run. Deliberately **not**
@@ -556,7 +546,7 @@ pub fn run_campaign(
     let plan = CampaignPlan::load(spec, base_dir)?;
     let cache = match &opts.cache_dir {
         Some(dir) => Some(
-            CellCache::open_kind(dir, opts.store)
+            CellCache::open(dir)
                 .map_err(|e| FleetError(format!("cannot open cache {}: {e}", dir.display())))?,
         ),
         None => None,
@@ -603,7 +593,7 @@ pub fn run_campaign(
             }
             return (metrics, true, false, wall_ms);
         }
-        let metrics = plan.compute(i, &setups, opts.run.admission);
+        let metrics = plan.compute(i, &setups);
         let stored = match &cache {
             Some(c) => c.store(key, job.kind, id, &metrics).unwrap_or_else(|e| {
                 eprintln!("campaign cache store failed for {id}: {e} (continuing uncached)");
@@ -950,7 +940,6 @@ mod tests {
                 ..Default::default()
             },
             cache_dir: Some(dir.join("cells")),
-            store: None,
         }
     }
 
@@ -1020,7 +1009,6 @@ mod tests {
                     ..Default::default()
                 },
                 cache_dir: None,
-                store: None,
             },
         )
         .unwrap();

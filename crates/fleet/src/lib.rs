@@ -7,8 +7,8 @@
 //! single run. This crate turns the one-shot simulator into an experiment
 //! orchestration subsystem:
 //!
-//! - [`spec`] — the declarative sweep DSL ([`SweepSpec`], JSON or a TOML
-//!   subset): arrival CV × request rate × cluster shape × policy, expanded
+//! - [`spec`] — the declarative sweep DSL ([`SweepSpec`], JSON): arrival
+//!   CV × request rate × cluster shape × policy, expanded
 //!   deterministically with per-cell seed derivation that gives every
 //!   policy in a cell group byte-identical traffic;
 //! - [`runner`] — the thread-pool fleet runner over
@@ -31,10 +31,9 @@
 //!   canonicalized semantics under the engine-fingerprint salt, entries
 //!   write atomically, truncated cells never persist (the resume
 //!   mechanism), `stats`/`gc` bound the directory;
-//! - [`store`] — the pluggable storage layer under the cache
-//!   ([`CacheStore`]): the sharded localdisk layout (default,
-//!   NFS-shareable) and a single-file append log, both passing one
-//!   conformance suite, plus the atomic worker-claim protocol;
+//! - [`store`] — the storage engine under the cache ([`LocalDiskStore`]):
+//!   one atomically written file per entry in a sharded, NFS-shareable
+//!   layout, plus the atomic worker-claim protocol;
 //! - [`worker`] — the distributed campaign worker (`fleet worker`):
 //!   drain one campaign's cell list from N processes/machines against a
 //!   shared cache dir, by deterministic shard (`--shard i/n`) or by
@@ -42,8 +41,7 @@
 //! - [`trace`] — structured engine traces as fleet artifacts
 //!   (`fleet trace`): record a cell's virtual-time JSONL trace,
 //!   summarize or structurally diff trace files, and profile the
-//!   engine's own dispatch self-time at fleet scale;
-//! - [`toml_lite`] — the offline TOML-subset reader.
+//!   engine's own dispatch self-time at fleet scale.
 //!
 //! The `flexpipe-fleet` binary wraps it all into `init` / `run` /
 //! `bench` / `campaign` / `worker` / `cache` / `trace` /
@@ -67,7 +65,6 @@ pub mod report;
 pub mod runner;
 pub mod spec;
 pub mod store;
-pub mod toml_lite;
 pub mod trace;
 pub mod worker;
 
@@ -96,8 +93,7 @@ pub use spec::{
     PolicySpec, SweepSpec,
 };
 pub use store::{
-    open_store, CacheStore, ClaimInfo, ClaimOutcome, GcOutcome, StoreKind, StoredObject,
-    DEFAULT_CLAIM_TTL,
+    ClaimInfo, ClaimOutcome, GcOutcome, LocalDiskStore, StoredObject, DEFAULT_CLAIM_TTL,
 };
 pub use trace::{
     find_cell, profile_on_tick, profile_on_tick_calm, profile_on_tick_flexpipe, profile_spec,
@@ -107,29 +103,29 @@ pub use worker::{run_worker, WorkerOptions, WorkerOutcome};
 
 use serde::Deserialize;
 
-/// Loads a [`SweepSpec`] from JSON or TOML text, deciding by `path`'s
-/// extension (`.toml` → TOML subset, anything else → JSON).
+/// Loads a [`SweepSpec`] from JSON text. `path` only names the file in
+/// errors; a `.toml` path is refused (specs are JSON only).
 pub fn parse_spec(path: &str, text: &str) -> Result<SweepSpec, FleetError> {
-    parse_by_extension(path, text, "spec")
+    parse_json(path, text, "spec")
 }
 
-/// Loads a [`BenchSpec`] from JSON or TOML text, by extension.
+/// Loads a [`BenchSpec`] from JSON text (see [`parse_spec`]).
 pub fn parse_bench(path: &str, text: &str) -> Result<BenchSpec, FleetError> {
-    parse_by_extension(path, text, "bench spec")
+    parse_json(path, text, "bench spec")
 }
 
-/// Loads a [`CampaignSpec`] from JSON or TOML text, by extension.
+/// Loads a [`CampaignSpec`] from JSON text (see [`parse_spec`]).
 pub fn parse_campaign(path: &str, text: &str) -> Result<CampaignSpec, FleetError> {
-    parse_by_extension(path, text, "campaign spec")
+    parse_json(path, text, "campaign spec")
 }
 
-fn parse_by_extension<T: Deserialize>(path: &str, text: &str, what: &str) -> Result<T, FleetError> {
+fn parse_json<T: Deserialize>(path: &str, text: &str, what: &str) -> Result<T, FleetError> {
     if path.ends_with(".toml") {
-        let value = toml_lite::parse(text).map_err(|e| FleetError(e.to_string()))?;
-        T::from_value(&value).map_err(|e| FleetError(format!("{what}: {e}")))
-    } else {
-        serde_json::from_str(text).map_err(|e| FleetError(format!("{what}: {e}")))
+        return Err(FleetError(format!(
+            "{path}: TOML specs are not supported; write the {what} as JSON"
+        )));
     }
+    serde_json::from_str(text).map_err(|e| FleetError(format!("{what}: {e}")))
 }
 
 #[cfg(test)]
@@ -137,92 +133,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_and_toml_specs_agree() {
-        let spec = SweepSpec::template();
-        let json = serde_json::to_string_pretty(&spec).unwrap();
-        let from_json = parse_spec("sweep.json", &json).unwrap();
-        assert_eq!(from_json, spec);
-
-        let toml = r#"
-            name = "cv-rate-sensitivity"
-            model = "Opt66B"
-            seed = 42
-            horizon_secs = 120.0
-            warmup_secs = 30.0
-            slo_secs = 2.0
-            slo_per_output_token_ms = 100.0
-            background = "TestbedLike"
-            max_events = 200000000
-            cvs = [0.5, 2.0, 4.0, 8.0]
-            rates = [10.0, 20.0]
-            clusters = ["PaperTestbed"]
-            policies = [{ Paper = "FlexPipe" }, { Paper = "AlpaServe" }, { Paper = "ServerlessLlm" }]
-
-            [lengths]
-            prompt_median = 1024.0
-            prompt_sigma = 0.9
-            prompt_range = [16, 8192]
-            output_mean = 64.0
-            output_range = [1, 1024]
-        "#;
-        let from_toml = parse_spec("sweep.toml", toml).unwrap();
-        assert_eq!(from_toml, spec);
-    }
-
-    #[test]
     fn bad_specs_error_cleanly() {
         assert!(parse_spec("x.json", "{").is_err());
-        assert!(parse_spec("x.toml", "= broken").is_err());
         assert!(parse_spec("x.json", "{}").is_err());
         assert!(parse_bench("x.json", "{}").is_err());
         assert!(parse_campaign("x.json", "{}").is_err());
-    }
-
-    #[test]
-    fn campaign_specs_parse_from_json_and_toml() {
-        let spec = CampaignSpec::template();
-        let json = serde_json::to_string_pretty(&spec).unwrap();
-        assert_eq!(parse_campaign("c.json", &json).unwrap(), spec);
-        let toml = r#"
-            name = "campaign-ci"
-            cache_dir = ".fleet-cache"
-            entries = [{ kind = "Sweep", path = "cv-rate-sensitivity.json" }, { kind = "Sweep", path = "disruption-recovery.json" }, { kind = "Bench", path = "engine-bench.json" }]
-        "#;
-        assert_eq!(parse_campaign("c.toml", toml).unwrap(), spec);
-    }
-
-    #[test]
-    fn bench_specs_parse_from_toml_too() {
-        let spec = BenchSpec::template();
-        let json = serde_json::to_string_pretty(&spec).unwrap();
-        assert_eq!(parse_bench("b.json", &json).unwrap(), spec);
-
-        let toml = r#"
-            name = "engine-bench"
-            model = "Opt66B"
-            seed = 42
-            horizon_secs = 45.0
-            warmup_secs = 10.0
-            slo_secs = 2.0
-            slo_per_output_token_ms = 100.0
-            background = "TestbedLike"
-            max_events = 200000000
-            cv = 4.0
-            cluster = "PaperTestbed"
-            policy = { Paper = "FlexPipe" }
-            rates = [20.0, 50.0, 100.0, 200.0]
-            ubatch_sizes = [64, 128]
-            prefill_token_caps = [512, 1024]
-            admission_batches = [8, 16]
-            admission = ["Indexed"]
-
-            [lengths]
-            prompt_median = 1024.0
-            prompt_sigma = 0.9
-            prompt_range = [16, 8192]
-            output_mean = 64.0
-            output_range = [1, 1024]
-        "#;
-        assert_eq!(parse_bench("b.toml", toml).unwrap(), spec);
+        // A well-formed JSON body under a `.toml` name is still refused.
+        let json = serde_json::to_string_pretty(&SweepSpec::template()).unwrap();
+        assert_eq!(
+            parse_spec("sweep.json", &json).unwrap(),
+            SweepSpec::template()
+        );
+        let err = parse_spec("sweep.toml", &json).unwrap_err();
+        assert!(err.0.contains("TOML"), "{err}");
     }
 }

@@ -36,11 +36,6 @@ pub struct RunOptions {
     pub threads: usize,
     /// Suppress per-cell progress lines on stderr.
     pub quiet: bool,
-    /// Gateway admission strategy for every engine run. Both modes
-    /// produce byte-identical reports (the index is a pure optimization);
-    /// [`AdmissionMode::NaiveScan`] exists for equivalence checks and
-    /// A/B timing.
-    pub admission: AdmissionMode,
     /// Structured per-cell progress on stderr: one `start` line and one
     /// `finish` line (wall ms, truncation flag) per cell. Wall-clock
     /// detail stays on stderr only — it never enters any artifact.
@@ -85,9 +80,11 @@ pub fn run_cell(spec: &SweepSpec, cell: &Cell, setup: &PaperSetup) -> CellMetric
     run_cell_in_mode(spec, cell, setup, AdmissionMode::default())
 }
 
-/// Executes one cell under an explicit admission mode. The mode never
+/// Executes one cell under an explicit engine mode. The mode never
 /// changes the metrics — only wall-clock — which the equivalence tests
-/// assert report-byte for report-byte.
+/// assert report-byte for report-byte: [`AdmissionMode::NaiveScan`] is
+/// the reference those tests and the `fleet bench` A/B axis compare the
+/// indexed fast path against.
 pub fn run_cell_in_mode(
     spec: &SweepSpec,
     cell: &Cell,
@@ -290,9 +287,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &RunOptions) -> Result<FleetReport, Fle
             eprintln!("fleet cell={} event=start", cell.id());
         }
         let cell_started = Instant::now();
-        let metrics = match catch_unwind(AssertUnwindSafe(|| {
-            run_cell_in_mode(spec, cell, &setup, opts.admission)
-        })) {
+        let metrics = match catch_unwind(AssertUnwindSafe(|| run_cell(spec, cell, &setup))) {
             Ok(m) => m,
             Err(_) => {
                 eprintln!("fleet cell {} PANICKED; recorded as failed", cell.id());

@@ -14,11 +14,11 @@
 //! reproducible.
 
 use flexpipe_bench::SystemId;
-use flexpipe_chaos::{DisruptionScript, RandomDisruptions};
+use flexpipe_chaos::{virtual_horizon, DisruptionScript, RandomDisruptions};
 use flexpipe_cluster::{BackgroundProfile, ClusterSpec};
 use flexpipe_model::ModelId;
 use flexpipe_serving::ControlPolicy;
-use flexpipe_workload::LengthProfile;
+use flexpipe_workload::{check_arrival_budget, LengthProfile};
 use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Cluster shapes a sweep can run on.
@@ -519,7 +519,19 @@ impl SweepSpec {
                     .map_err(|e| format!("disruption generator `{}`: {e}", r.label))?,
             }
         }
-        Ok(())
+        // Bound the largest cell's arrivals: the top rate over the span
+        // the most surge-stretched disruption generates arrivals for.
+        let span = self.warmup_secs + self.horizon_secs;
+        let mut generated = span;
+        if span.is_finite() {
+            for d in &self.disruptions {
+                if let DisruptionShape::Script(s) = d {
+                    generated = generated.max(virtual_horizon(span, s));
+                }
+            }
+        }
+        let top_rate = self.rates.iter().copied().fold(0.0, f64::max);
+        check_arrival_budget(top_rate, generated)
     }
 
     /// The template sweep written by `flexpipe-fleet init`: a 24-cell grid

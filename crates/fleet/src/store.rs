@@ -1,33 +1,28 @@
-//! Pluggable cache storage engines behind the [`CacheStore`] trait.
+//! The on-disk storage engine under the campaign cell cache.
 //!
 //! [`crate::cache::CellCache`] owns the *semantics* of the campaign cache
 //! — content keys, budget-aware replay, the refusal to persist truncated
 //! cells. This module owns the *bytes*: how entries and worker claims
-//! actually land on storage. Two backends prove the seam:
+//! actually land on storage.
 //!
-//! - [`LocalDiskStore`] (default) — one file per entry at
-//!   `<dir>/<key[0..2]>/<key>.json`, written atomically via temp file +
-//!   rename. Claims are sibling `<key>.claim` files acquired with a
-//!   hard-link publish (write temp, `link(2)` into place), the classic
-//!   NFS-safe mutual-exclusion primitive: `rename` silently replaces but
-//!   `link` fails with `EEXIST`, so exactly one worker wins. Claim
-//!   freshness is the file's mtime, refreshed by the owner's heartbeat.
-//!   This layout is safe for N workers sharing the directory over NFS
-//!   or syncing it with rsync.
-//! - [`LogStore`] — a single-file, sqlite-flavoured append log at
-//!   `<dir>/cells.log`: every `put`, `claim` and `release` appends one
-//!   JSON record; reading replays the log (last put per key wins, first
-//!   unreleased claim per key wins). Claim acquisition is
-//!   append-then-re-read: racing workers all append, then agree on the
-//!   earliest record, so at most one proceeds. `gc` compacts the log in
-//!   place (temp + rename), keeping live claims and surviving entries.
-//!   Single `O_APPEND` writes keep records intact under same-machine
-//!   concurrency; unlike the localdisk layout this backend is **not**
-//!   NFS-safe and is meant for single-host fleets or as the seam proof.
+//! [`LocalDiskStore`] keeps one file per entry at
+//! `<dir>/<key[0..2]>/<key>.json`, written atomically via temp file +
+//! rename. Claims are sibling `<key>.claim` files acquired with a
+//! hard-link publish (write temp, `link(2)` into place), the classic
+//! NFS-safe mutual-exclusion primitive: `rename` silently replaces but
+//! `link` fails with `EEXIST`, so exactly one worker wins. Claim
+//! freshness is the file's mtime, refreshed by the owner's heartbeat.
+//! This layout is safe for N workers sharing the directory over NFS or
+//! syncing it with rsync.
 //!
-//! Both backends satisfy one conformance suite (`store_conformance`
-//! integration tests); everything above the trait — campaigns, workers,
-//! `assemble`, `stats`, `gc` — is backend-agnostic.
+//! The store is safe for concurrent use from multiple threads *and*
+//! multiple processes sharing the same root: `put` is atomic
+//! last-writer-wins (concurrent same-key writers may interleave but a
+//! reader never observes a torn payload), and `try_claim` grants each key
+//! to at most one worker at a time among racers. Wall clocks never enter
+//! entry payloads — only claim bookkeeping — so cached *results* stay
+//! byte-deterministic. The `store_conformance` integration tests pin
+//! this contract.
 //!
 //! # Claims are an optimization, not a lock
 //!
@@ -39,49 +34,18 @@
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, SystemTime};
-
-use serde::{Deserialize, Serialize};
 
 /// Claims older than this read as stale in `cache stats` and in worker
 /// default configuration (override per command with `--claim-ttl`).
 pub const DEFAULT_CLAIM_TTL: Duration = Duration::from_secs(60);
 
-/// Storage engine selector for a cache directory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreKind {
-    /// One file per entry under two-hex-char shard directories (default).
-    LocalDisk,
-    /// A single-file append log (`cells.log`).
-    Log,
-}
-
-impl StoreKind {
-    /// CLI name (`localdisk` / `log`).
-    pub fn name(self) -> &'static str {
-        match self {
-            StoreKind::LocalDisk => "localdisk",
-            StoreKind::Log => "log",
-        }
-    }
-
-    /// Parses a CLI backend name.
-    pub fn parse(s: &str) -> Option<StoreKind> {
-        match s {
-            "localdisk" => Some(StoreKind::LocalDisk),
-            "log" => Some(StoreKind::Log),
-            _ => None,
-        }
-    }
-}
-
-/// One stored object as seen by `stats` / `gc`: its key (file stem for
-/// the localdisk layout), payload (when readable), size and mtime age.
+/// One stored object as seen by `stats` / `gc`: its key (the file stem),
+/// payload (when readable), size and mtime age.
 #[derive(Debug, Clone)]
 pub struct StoredObject {
-    /// The key the object is stored under. For foreign files in a
-    /// localdisk cache directory this is the file name.
+    /// The key the object is stored under. For foreign files in the
+    /// cache directory this is the file name.
     pub key: String,
     /// The stored payload; `None` when unreadable (counted as foreign).
     pub payload: Option<String>,
@@ -127,90 +91,6 @@ pub struct GcOutcome {
     pub bytes_freed: u64,
 }
 
-/// A pluggable storage engine for the campaign cell cache.
-///
-/// Implementations must be safe for concurrent use from multiple threads
-/// *and* multiple processes sharing the same root: `put` is atomic
-/// last-writer-wins (concurrent same-key writers may interleave but a
-/// reader never observes a torn payload), and `try_claim` grants each key
-/// to at most one worker at a time among racers.
-///
-/// Claim freshness is wall-clock based (file mtime or logged
-/// timestamps): holders heartbeat via [`CacheStore::refresh_claim`] and
-/// anyone may reap claims older than a TTL via
-/// [`CacheStore::reap_stale_claims`]. Wall clocks never enter entry
-/// payloads — only claim bookkeeping — so cached *results* stay
-/// byte-deterministic.
-pub trait CacheStore: Send + Sync + std::fmt::Debug {
-    /// Backend name (`localdisk` / `log`).
-    fn kind(&self) -> &'static str;
-
-    /// The root directory this store lives in.
-    fn root(&self) -> &Path;
-
-    /// Fetches the payload stored under `key`, if any. Unreadable or
-    /// torn objects read as absent — the cache layer treats any miss as
-    /// "recompute".
-    fn get(&self, key: &str) -> io::Result<Option<String>>;
-
-    /// Persists `payload` under `key` atomically (last writer wins).
-    fn put(&self, key: &str, payload: &str) -> io::Result<()>;
-
-    /// Every stored object, sorted by key. Includes foreign files for
-    /// backends whose root can hold them; never includes claims.
-    fn list(&self) -> io::Result<Vec<StoredObject>>;
-
-    /// Removes the object stored under `key`; returns whether it existed.
-    fn remove(&self, key: &str) -> io::Result<bool>;
-
-    /// Attempts to claim `key` for `worker`. At most one concurrent
-    /// caller per key acquires; re-claiming a key this worker already
-    /// holds refreshes the heartbeat and acquires.
-    fn try_claim(&self, key: &str, worker: &str) -> io::Result<ClaimOutcome>;
-
-    /// Heartbeats a held claim. Returns `false` when the claim is no
-    /// longer this worker's (reaped, or lost to a raced reacquisition) —
-    /// the holder should treat its work as potentially duplicated but
-    /// may still publish (puts are idempotent for deterministic cells).
-    fn refresh_claim(&self, key: &str, worker: &str) -> io::Result<bool>;
-
-    /// Releases `worker`'s claim on `key`; other workers' claims are
-    /// untouched. Returns whether a claim by this worker was present.
-    fn release_claim(&self, key: &str, worker: &str) -> io::Result<bool>;
-
-    /// Every live claim.
-    fn list_claims(&self) -> io::Result<Vec<ClaimInfo>>;
-
-    /// Releases every claim whose heartbeat is older than `ttl`,
-    /// returning how many were reaped. Fresh claims are never touched.
-    fn reap_stale_claims(&self, ttl: Duration) -> io::Result<usize>;
-
-    /// Entry garbage collection: drops entries older than `max_age`
-    /// and/or LRU-evicts (oldest first) down to `max_bytes` total.
-    /// **Never** removes live claims — stale-claim reaping is only ever
-    /// explicit, via [`CacheStore::reap_stale_claims`].
-    fn gc(&self, max_age: Option<Duration>, max_bytes: Option<u64>) -> io::Result<GcOutcome>;
-}
-
-/// Opens a storage engine at `dir`, creating the directory if needed.
-///
-/// Backend resolution: an existing `cells.log` marks the directory as a
-/// [`LogStore`] regardless of `kind` (mixing engines in one directory
-/// would split the cache invisibly); otherwise `kind` decides, defaulting
-/// to [`LocalDiskStore`].
-pub fn open_store(dir: &Path, kind: Option<StoreKind>) -> io::Result<Arc<dyn CacheStore>> {
-    std::fs::create_dir_all(dir)?;
-    let detected = if dir.join(LOG_FILE).is_file() {
-        Some(StoreKind::Log)
-    } else {
-        None
-    };
-    match detected.or(kind).unwrap_or(StoreKind::LocalDisk) {
-        StoreKind::LocalDisk => Ok(Arc::new(LocalDiskStore::open(dir)?)),
-        StoreKind::Log => Ok(Arc::new(LogStore::open(dir)?)),
-    }
-}
-
 fn age_of(meta: &std::fs::Metadata) -> Duration {
     meta.modified()
         .ok()
@@ -229,20 +109,16 @@ fn temp_name(tag: &str) -> String {
     )
 }
 
-// ---------------------------------------------------------------------
-// Localdisk
-// ---------------------------------------------------------------------
-
-/// The default storage engine: one `<key[0..2]>/<key>.json` file per
+/// The cache's storage engine: one `<key[0..2]>/<key>.json` file per
 /// entry, `<key>.claim` sibling files for the worker protocol. See the
-/// module docs for the concurrency story.
-#[derive(Debug)]
+/// module docs for the concurrency contract.
+#[derive(Debug, Clone)]
 pub struct LocalDiskStore {
     dir: PathBuf,
 }
 
 impl LocalDiskStore {
-    /// Opens (creating if needed) a localdisk store rooted at `dir`.
+    /// Opens (creating if needed) a store rooted at `dir`.
     pub fn open(dir: &Path) -> io::Result<LocalDiskStore> {
         std::fs::create_dir_all(dir)?;
         Ok(LocalDiskStore {
@@ -293,18 +169,15 @@ impl LocalDiskStore {
         }
         Ok(())
     }
-}
 
-impl CacheStore for LocalDiskStore {
-    fn kind(&self) -> &'static str {
-        "localdisk"
-    }
-
-    fn root(&self) -> &Path {
+    /// The root directory this store lives in.
+    pub fn root(&self) -> &Path {
         &self.dir
     }
 
-    fn get(&self, key: &str) -> io::Result<Option<String>> {
+    /// Fetches the payload stored under `key`, if any. The cache layer
+    /// treats any miss or unparsable payload as "recompute".
+    pub fn get(&self, key: &str) -> io::Result<Option<String>> {
         match std::fs::read_to_string(self.entry_path(key)) {
             Ok(s) => Ok(Some(s)),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
@@ -312,7 +185,9 @@ impl CacheStore for LocalDiskStore {
         }
     }
 
-    fn put(&self, key: &str, payload: &str) -> io::Result<()> {
+    /// Persists `payload` under `key` atomically (last writer wins): a
+    /// reader never observes a torn payload.
+    pub fn put(&self, key: &str, payload: &str) -> io::Result<()> {
         let path = self.entry_path(key);
         let shard = path.parent().expect("sharded path");
         std::fs::create_dir_all(shard)?;
@@ -324,7 +199,10 @@ impl CacheStore for LocalDiskStore {
         std::fs::rename(&tmp, &path)
     }
 
-    fn list(&self) -> io::Result<Vec<StoredObject>> {
+    /// Every stored object, sorted by key. Includes foreign files (junk,
+    /// orphaned temp files) so `stats`/`gc` can account for them; never
+    /// includes claims.
+    pub fn list(&self) -> io::Result<Vec<StoredObject>> {
         let mut out = Vec::new();
         for path in self.files(false)? {
             let meta = std::fs::metadata(&path)?;
@@ -342,7 +220,8 @@ impl CacheStore for LocalDiskStore {
         Ok(out)
     }
 
-    fn remove(&self, key: &str) -> io::Result<bool> {
+    /// Removes the object stored under `key`; returns whether it existed.
+    pub fn remove(&self, key: &str) -> io::Result<bool> {
         match std::fs::remove_file(self.entry_path(key)) {
             Ok(()) => {
                 let _ = self.prune_empty_shards();
@@ -353,7 +232,10 @@ impl CacheStore for LocalDiskStore {
         }
     }
 
-    fn try_claim(&self, key: &str, worker: &str) -> io::Result<ClaimOutcome> {
+    /// Attempts to claim `key` for `worker`. At most one concurrent
+    /// caller per key acquires; re-claiming a key this worker already
+    /// holds refreshes the heartbeat and acquires.
+    pub fn try_claim(&self, key: &str, worker: &str) -> io::Result<ClaimOutcome> {
         let claim = self.claim_path(key);
         let shard = claim.parent().expect("sharded path");
         std::fs::create_dir_all(shard)?;
@@ -392,7 +274,11 @@ impl CacheStore for LocalDiskStore {
         }
     }
 
-    fn refresh_claim(&self, key: &str, worker: &str) -> io::Result<bool> {
+    /// Heartbeats a held claim. Returns `false` when the claim is no
+    /// longer this worker's (reaped, or lost to a raced reacquisition) —
+    /// the holder should treat its work as potentially duplicated but
+    /// may still publish (puts are idempotent for deterministic cells).
+    pub fn refresh_claim(&self, key: &str, worker: &str) -> io::Result<bool> {
         let claim = self.claim_path(key);
         match std::fs::read_to_string(&claim) {
             Ok(holder) if holder.trim() == worker => {
@@ -407,7 +293,9 @@ impl CacheStore for LocalDiskStore {
         }
     }
 
-    fn release_claim(&self, key: &str, worker: &str) -> io::Result<bool> {
+    /// Releases `worker`'s claim on `key`; other workers' claims are
+    /// untouched. Returns whether a claim by this worker was present.
+    pub fn release_claim(&self, key: &str, worker: &str) -> io::Result<bool> {
         let claim = self.claim_path(key);
         match std::fs::read_to_string(&claim) {
             Ok(holder) if holder.trim() == worker => {
@@ -420,7 +308,8 @@ impl CacheStore for LocalDiskStore {
         }
     }
 
-    fn list_claims(&self) -> io::Result<Vec<ClaimInfo>> {
+    /// Every live claim.
+    pub fn list_claims(&self) -> io::Result<Vec<ClaimInfo>> {
         let mut out = Vec::new();
         for path in self.files(true)? {
             let Ok(meta) = std::fs::metadata(&path) else {
@@ -440,7 +329,9 @@ impl CacheStore for LocalDiskStore {
         Ok(out)
     }
 
-    fn reap_stale_claims(&self, ttl: Duration) -> io::Result<usize> {
+    /// Releases every claim whose heartbeat (mtime) is older than `ttl`,
+    /// returning how many were reaped. Fresh claims are never touched.
+    pub fn reap_stale_claims(&self, ttl: Duration) -> io::Result<usize> {
         let mut reaped = 0;
         for c in self.list_claims()? {
             if c.age >= ttl && std::fs::remove_file(self.claim_path(&c.key)).is_ok() {
@@ -451,7 +342,11 @@ impl CacheStore for LocalDiskStore {
         Ok(reaped)
     }
 
-    fn gc(&self, max_age: Option<Duration>, max_bytes: Option<u64>) -> io::Result<GcOutcome> {
+    /// Entry garbage collection: drops entries older than `max_age`
+    /// and/or LRU-evicts (oldest first) down to `max_bytes` total.
+    /// **Never** removes live claims — stale-claim reaping is only ever
+    /// explicit, via [`LocalDiskStore::reap_stale_claims`].
+    pub fn gc(&self, max_age: Option<Duration>, max_bytes: Option<u64>) -> io::Result<GcOutcome> {
         let mut out = GcOutcome::default();
         // (age, path, size) of every non-claim file, oldest first. Claim
         // files are invisible here by construction: a live claim must
@@ -476,334 +371,6 @@ impl CacheStore for LocalDiskStore {
             }
         }
         self.prune_empty_shards()?;
-        Ok(out)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Append log
-// ---------------------------------------------------------------------
-
-const LOG_FILE: &str = "cells.log";
-
-/// One log record. `at_ms` is wall-clock bookkeeping (entry age for gc,
-/// claim freshness) and never leaks into payloads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct LogRecord {
-    /// `put`, `claim` or `release`.
-    op: String,
-    /// Cell key.
-    key: String,
-    /// Entry payload (`put` only).
-    payload: Option<String>,
-    /// Worker id (`claim` / `release` only).
-    worker: Option<String>,
-    /// Milliseconds since the Unix epoch at append time.
-    at_ms: u64,
-}
-
-fn now_ms() -> u64 {
-    SystemTime::now()
-        .duration_since(SystemTime::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
-}
-
-fn ms_age(at_ms: u64) -> Duration {
-    Duration::from_millis(now_ms().saturating_sub(at_ms))
-}
-
-/// Replayed log state: last put per key, live claims per key in append
-/// order (first one wins).
-#[derive(Debug, Default)]
-struct LogState {
-    /// key → (payload, at_ms).
-    entries: std::collections::BTreeMap<String, (String, u64)>,
-    /// key → ordered live claims (worker, at_ms of latest heartbeat).
-    claims: std::collections::BTreeMap<String, Vec<(String, u64)>>,
-}
-
-impl LogState {
-    fn replay(text: &str) -> LogState {
-        let mut st = LogState::default();
-        for line in text.lines() {
-            // A torn trailing line (killed mid-append) parses as garbage
-            // and is skipped; every complete record before it stands.
-            let Ok(rec) = serde_json::from_str::<LogRecord>(line) else {
-                continue;
-            };
-            match rec.op.as_str() {
-                "put" => {
-                    if let Some(p) = rec.payload {
-                        st.entries.insert(rec.key, (p, rec.at_ms));
-                    }
-                }
-                "claim" => {
-                    if let Some(w) = rec.worker {
-                        let held = st.claims.entry(rec.key).or_default();
-                        match held.iter_mut().find(|(worker, _)| *worker == w) {
-                            // A re-claim is a heartbeat: freshen, keep rank.
-                            Some(slot) => slot.1 = rec.at_ms,
-                            None => held.push((w, rec.at_ms)),
-                        }
-                    }
-                }
-                "release" => {
-                    if let Some(w) = rec.worker {
-                        if let Some(held) = st.claims.get_mut(&rec.key) {
-                            held.retain(|(worker, _)| *worker != w);
-                            if held.is_empty() {
-                                st.claims.remove(&rec.key);
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        st
-    }
-
-    /// The winning (first live) claim on `key`, if any.
-    fn holder(&self, key: &str) -> Option<&(String, u64)> {
-        self.claims.get(key).and_then(|held| held.first())
-    }
-}
-
-/// The single-file append-log storage engine. See the module docs for
-/// the format and its (single-host) concurrency contract.
-#[derive(Debug)]
-pub struct LogStore {
-    dir: PathBuf,
-    log: PathBuf,
-}
-
-impl LogStore {
-    /// Opens (creating if needed) a log store rooted at `dir`.
-    pub fn open(dir: &Path) -> io::Result<LogStore> {
-        std::fs::create_dir_all(dir)?;
-        let log = dir.join(LOG_FILE);
-        if !log.is_file() {
-            // Touch the marker so `open_store` autodetection is stable
-            // from the first open, not the first write.
-            std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&log)?;
-        }
-        Ok(LogStore {
-            dir: dir.to_path_buf(),
-            log,
-        })
-    }
-
-    fn state(&self) -> io::Result<LogState> {
-        Ok(LogState::replay(&std::fs::read_to_string(&self.log)?))
-    }
-
-    fn append(&self, rec: &LogRecord) -> io::Result<()> {
-        use std::io::Write;
-        let mut line = serde_json::to_string(rec).expect("log record serializes");
-        line.push('\n');
-        // One O_APPEND write per record keeps lines intact under
-        // same-machine concurrent appenders.
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.log)?;
-        f.write_all(line.as_bytes())
-    }
-
-    /// Atomically rewrites the log from `state` (gc compaction).
-    fn rewrite(&self, st: &LogState) -> io::Result<()> {
-        let mut text = String::new();
-        for (key, (payload, at_ms)) in &st.entries {
-            let rec = LogRecord {
-                op: "put".into(),
-                key: key.clone(),
-                payload: Some(payload.clone()),
-                worker: None,
-                at_ms: *at_ms,
-            };
-            text.push_str(&serde_json::to_string(&rec).expect("log record serializes"));
-            text.push('\n');
-        }
-        for (key, held) in &st.claims {
-            for (worker, at_ms) in held {
-                let rec = LogRecord {
-                    op: "claim".into(),
-                    key: key.clone(),
-                    payload: None,
-                    worker: Some(worker.clone()),
-                    at_ms: *at_ms,
-                };
-                text.push_str(&serde_json::to_string(&rec).expect("log record serializes"));
-                text.push('\n');
-            }
-        }
-        let tmp = self.dir.join(temp_name("log"));
-        std::fs::write(&tmp, text)?;
-        std::fs::rename(&tmp, &self.log)
-    }
-}
-
-impl CacheStore for LogStore {
-    fn kind(&self) -> &'static str {
-        "log"
-    }
-
-    fn root(&self) -> &Path {
-        &self.dir
-    }
-
-    fn get(&self, key: &str) -> io::Result<Option<String>> {
-        Ok(self.state()?.entries.get(key).map(|(p, _)| p.clone()))
-    }
-
-    fn put(&self, key: &str, payload: &str) -> io::Result<()> {
-        self.append(&LogRecord {
-            op: "put".into(),
-            key: key.to_string(),
-            payload: Some(payload.to_string()),
-            worker: None,
-            at_ms: now_ms(),
-        })
-    }
-
-    fn list(&self) -> io::Result<Vec<StoredObject>> {
-        Ok(self
-            .state()?
-            .entries
-            .iter()
-            .map(|(key, (payload, at_ms))| StoredObject {
-                key: key.clone(),
-                bytes: payload.len() as u64,
-                payload: Some(payload.clone()),
-                age: ms_age(*at_ms),
-            })
-            .collect())
-    }
-
-    fn remove(&self, key: &str) -> io::Result<bool> {
-        let mut st = self.state()?;
-        if st.entries.remove(key).is_none() {
-            return Ok(false);
-        }
-        self.rewrite(&st)?;
-        Ok(true)
-    }
-
-    fn try_claim(&self, key: &str, worker: &str) -> io::Result<ClaimOutcome> {
-        // Append-then-re-read: every racer appends its claim record, then
-        // all replay the log and agree on the earliest live claim. At
-        // most one worker sees itself as the winner.
-        self.append(&LogRecord {
-            op: "claim".into(),
-            key: key.to_string(),
-            payload: None,
-            worker: Some(worker.to_string()),
-            at_ms: now_ms(),
-        })?;
-        let st = self.state()?;
-        match st.holder(key) {
-            Some((w, _)) if w == worker => Ok(ClaimOutcome::Acquired),
-            Some((w, at_ms)) => {
-                // Lost the race: retract our queued claim so the winner's
-                // release leaves the key free, not queued to us.
-                self.release_claim(key, worker)?;
-                Ok(ClaimOutcome::Held {
-                    worker: w.clone(),
-                    age: ms_age(*at_ms),
-                })
-            }
-            None => Ok(ClaimOutcome::Acquired), // cannot happen: we just appended
-        }
-    }
-
-    fn refresh_claim(&self, key: &str, worker: &str) -> io::Result<bool> {
-        let st = self.state()?;
-        match st.holder(key) {
-            Some((w, _)) if w == worker => {
-                self.append(&LogRecord {
-                    op: "claim".into(),
-                    key: key.to_string(),
-                    payload: None,
-                    worker: Some(worker.to_string()),
-                    at_ms: now_ms(),
-                })?;
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
-    }
-
-    fn release_claim(&self, key: &str, worker: &str) -> io::Result<bool> {
-        let held = self
-            .state()?
-            .claims
-            .get(key)
-            .is_some_and(|held| held.iter().any(|(w, _)| w == worker));
-        self.append(&LogRecord {
-            op: "release".into(),
-            key: key.to_string(),
-            payload: None,
-            worker: Some(worker.to_string()),
-            at_ms: now_ms(),
-        })?;
-        Ok(held)
-    }
-
-    fn list_claims(&self) -> io::Result<Vec<ClaimInfo>> {
-        Ok(self
-            .state()?
-            .claims
-            .iter()
-            .flat_map(|(key, held)| {
-                held.iter().map(|(worker, at_ms)| ClaimInfo {
-                    key: key.clone(),
-                    worker: worker.clone(),
-                    age: ms_age(*at_ms),
-                })
-            })
-            .collect())
-    }
-
-    fn reap_stale_claims(&self, ttl: Duration) -> io::Result<usize> {
-        let mut reaped = 0;
-        for c in self.list_claims()? {
-            if c.age >= ttl {
-                self.release_claim(&c.key, &c.worker)?;
-                reaped += 1;
-            }
-        }
-        Ok(reaped)
-    }
-
-    fn gc(&self, max_age: Option<Duration>, max_bytes: Option<u64>) -> io::Result<GcOutcome> {
-        let mut st = self.state()?;
-        let mut out = GcOutcome::default();
-        // (age, key, size), oldest first — same eviction order as the
-        // localdisk backend so `gc` semantics are backend-independent.
-        let mut rows: Vec<(Duration, String, u64)> = st
-            .entries
-            .iter()
-            .map(|(k, (p, at_ms))| (ms_age(*at_ms), k.clone(), p.len() as u64))
-            .collect();
-        rows.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let mut total: u64 = rows.iter().map(|r| r.2).sum();
-        for (age, key, size) in rows {
-            let too_old = max_age.is_some_and(|cap| age >= cap);
-            let too_big = max_bytes.is_some_and(|cap| total > cap);
-            if too_old || too_big {
-                st.entries.remove(&key);
-                out.removed += 1;
-                out.bytes_freed += size;
-                total -= size;
-            } else {
-                out.kept += 1;
-            }
-        }
-        self.rewrite(&st)?;
         Ok(out)
     }
 }

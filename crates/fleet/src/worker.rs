@@ -17,7 +17,7 @@
 //!   replacement with the same `i/n` is started.
 //! - **Claim mode** (default): workers race over the full cell list,
 //!   coordinating through atomic claim markers in the cache
-//!   ([`crate::store::CacheStore::try_claim`]). A claim holds the
+//!   ([`crate::store::LocalDiskStore::try_claim`]). A claim holds the
 //!   worker id and is heartbeated (mtime refresh) while the cell
 //!   computes; claims whose heartbeat is older than `--claim-ttl` are
 //!   presumed dead and reaped by any live worker. Workers visit pending
@@ -49,7 +49,7 @@ use crate::RunOptions;
 /// Configuration of one `fleet worker` process.
 #[derive(Debug, Clone)]
 pub struct WorkerOptions {
-    /// Worker pool / progress / admission options (shared with sweeps).
+    /// Worker pool / progress options (shared with sweeps).
     pub run: RunOptions,
     /// This worker's identity, recorded in every claim it takes.
     /// Defaults to `w<pid>`; give each machine a stable, unique id when
@@ -64,9 +64,6 @@ pub struct WorkerOptions {
     /// Stop after computing this many cells (chunked draining; also how
     /// tests simulate a worker killed mid-campaign). `None` drains.
     pub max_cells: Option<usize>,
-    /// Storage backend preference for a fresh cache directory; an
-    /// initialized directory keeps its detected backend.
-    pub store: Option<crate::store::StoreKind>,
 }
 
 impl Default for WorkerOptions {
@@ -77,7 +74,6 @@ impl Default for WorkerOptions {
             shard: None,
             claim_ttl: DEFAULT_CLAIM_TTL,
             max_cells: None,
-            store: None,
         }
     }
 }
@@ -130,7 +126,7 @@ pub fn run_worker(
         }
     }
     let plan = CampaignPlan::load(spec, base_dir)?;
-    let cache = CellCache::open_kind(cache_dir, opts.store)
+    let cache = CellCache::open(cache_dir)
         .map_err(|e| FleetError(format!("cannot open cache {}: {e}", cache_dir.display())))?;
     let setups = plan.setups();
 
@@ -192,7 +188,7 @@ fn run_sharded(
         if computed_count.fetch_add(1, Ordering::Relaxed) >= computed_cap {
             return 3;
         }
-        let metrics = plan.compute(i, setups, opts.run.admission);
+        let metrics = plan.compute(i, setups);
         let stored = store_logged(cache, &job, &metrics);
         progress(
             opts,
@@ -303,7 +299,7 @@ fn run_claiming(
                 return 3;
             }
             held.lock().unwrap().insert(job.key.to_string());
-            let metrics = plan.compute(i, setups, opts.run.admission);
+            let metrics = plan.compute(i, setups);
             let stored = store_logged(cache, &job, &metrics);
             held.lock().unwrap().remove(job.key);
             let _ = cache.release_claim(job.key, &opts.worker_id);

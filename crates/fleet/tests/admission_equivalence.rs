@@ -1,21 +1,26 @@
 //! Engine-level proof that the indexed admission fast path is a *pure*
 //! optimization: byte-identical fleet reports in both admission modes, at
-//! any thread count, on the repo's committed specs — and metric-identical
-//! cells under proptest-randomized arrival/disruption interleavings
-//! (preemptions with and without grace, capacity returns, inflight
-//! FlexPipe recovery), which is where a stale index entry would first
-//! diverge.
+//! any thread count, on the repo's committed specs; semantically
+//! equivalent full traces of a committed cell in both modes (with a
+//! seeded mutation proving the checker would notice); and
+//! metric-identical cells under proptest-randomized arrival/disruption
+//! interleavings (preemptions with and without grace, capacity returns,
+//! inflight FlexPipe recovery), which is where a stale index entry would
+//! first diverge. The naive scan is reachable only from tests and the
+//! `fleet bench` A/B axis: it is the oracle, not a user-facing mode.
 
 use std::sync::OnceLock;
 
 use flexpipe_bench::{PaperSetup, SystemId};
 use flexpipe_chaos::{Disruption, DisruptionEvent, DisruptionScript};
+use flexpipe_check::{check_equiv, Entity};
 use flexpipe_fleet::{
-    parse_spec, run_cell_in_mode, run_sweep, BackgroundShape, ClusterShape, DisruptionShape,
-    PolicySpec, RunOptions, SweepSpec,
+    parse_spec, record_cell_trace, run_cell_in_mode, run_sweep, BackgroundShape, CellResult,
+    ClusterShape, DisruptionShape, FleetReport, PolicySpec, RunOptions, SweepSpec,
 };
 use flexpipe_model::ModelId;
-use flexpipe_serving::AdmissionMode;
+use flexpipe_obs::parse_jsonl;
+use flexpipe_serving::{AdmissionMode, TraceMode};
 use flexpipe_workload::LengthProfile;
 use proptest::prelude::*;
 
@@ -33,26 +38,67 @@ fn disruption_recovery_spec() -> SweepSpec {
 #[test]
 fn committed_spec_reports_are_byte_identical_across_modes_and_threads() {
     let spec = disruption_recovery_spec();
-    let opts = |threads, admission| RunOptions {
+    let opts = |threads| RunOptions {
         threads,
         quiet: true,
-        admission,
         ..Default::default()
     };
-    let indexed_1 = run_sweep(&spec, &opts(1, AdmissionMode::Indexed))
-        .unwrap()
-        .to_json();
-    let indexed_4 = run_sweep(&spec, &opts(4, AdmissionMode::Indexed))
-        .unwrap()
-        .to_json();
-    let naive_1 = run_sweep(&spec, &opts(1, AdmissionMode::NaiveScan))
-        .unwrap()
-        .to_json();
+    let indexed_1 = run_sweep(&spec, &opts(1)).unwrap().to_json();
+    let indexed_4 = run_sweep(&spec, &opts(4)).unwrap().to_json();
+    // The naive reference report, assembled cell by cell the way
+    // `run_sweep` does.
+    let setup = PaperSetup::for_model(spec.model);
+    let naive: Vec<CellResult> = spec
+        .expand()
+        .into_iter()
+        .map(|cell| {
+            let metrics = run_cell_in_mode(&spec, &cell, &setup, AdmissionMode::NaiveScan);
+            CellResult { cell, metrics }
+        })
+        .collect();
+    let naive_1 = FleetReport::assemble(spec.clone(), naive).to_json();
     assert_eq!(indexed_1, indexed_4, "thread count leaked into the report");
     assert_eq!(
         indexed_1, naive_1,
         "the admission index is not a pure optimization"
     );
+}
+
+/// The committed spec's default cell (the grid's first, as `fleet trace
+/// record` picks it) traced in full under both engine modes: the traces
+/// must be semantically equivalent, and a seeded payload mutation — one
+/// request admitted to a different instance — must be caught as a
+/// divergence anchored on that request.
+#[test]
+fn committed_spec_traces_are_semantically_equivalent_across_modes() {
+    let spec = disruption_recovery_spec();
+    let cell = spec.expand().remove(0);
+    let record = |mode| {
+        record_cell_trace(&spec, &cell, mode, TraceMode::Full)
+            .1
+            .trace
+            .to_jsonl()
+    };
+    let indexed = record(AdmissionMode::Indexed);
+    let naive = record(AdmissionMode::NaiveScan);
+    let parse = |text: &str| parse_jsonl(text).expect("recorded trace parses");
+    let report = check_equiv(&parse(&indexed), &parse(&naive));
+    assert!(report.equivalent(), "{}", report.render("indexed", "naive"));
+    assert!(
+        report.entities > 1 && report.left_records > 100,
+        "vacuous trace"
+    );
+
+    let original = r#""RequestAdmit":{"req":7,"instance":1}"#;
+    assert_eq!(
+        naive.matches(original).count(),
+        1,
+        "the seeded mutation must hit exactly one record"
+    );
+    let mutated = naive.replace(original, r#""RequestAdmit":{"req":7,"instance":2}"#);
+    let report = check_equiv(&parse(&indexed), &parse(&mutated));
+    let divergence = report.divergence.expect("seeded mutation went unnoticed");
+    assert_eq!(divergence.entity, Entity::Request(7));
 }
 
 fn llama_setup() -> &'static PaperSetup {

@@ -1,7 +1,7 @@
 //! Cache-invalidation coverage for the campaign cell keys: mutating any
 //! semantically meaningful spec field must change the affected cells'
-//! content keys, while cosmetic variation — JSON key order, TOML-lite
-//! formatting, numeric spelling, spec renames, watchdog budgets — must
+//! content keys, while cosmetic variation — JSON key order and
+//! whitespace, numeric spelling, spec renames, watchdog budgets — must
 //! not. Precision matters in both directions: a key that misses a
 //! meaningful field replays stale results; a key that includes a
 //! cosmetic one defeats resume.
@@ -165,7 +165,7 @@ fn cosmetic_fields_leave_every_key_unchanged() {
 }
 
 #[test]
-fn json_key_order_and_toml_formatting_do_not_re_key() {
+fn json_key_order_and_formatting_do_not_re_key() {
     let base = SweepSpec::template();
     let base_keys = sweep_keys(&base);
 
@@ -192,37 +192,16 @@ fn json_key_order_and_toml_formatting_do_not_re_key() {
         "JSON key order must not re-key"
     );
 
-    // The TOML-lite spelling of the same sweep (different formatting,
-    // comments, integral-float spelling like `seed = 42`) keys identically.
-    let toml = r#"
-        # same sweep, different surface syntax
-        name = "cv-rate-sensitivity"
-        model = "Opt66B"
-        seed = 42
-        horizon_secs = 120.0
-        warmup_secs = 30.0
-        slo_secs = 2.0
-        slo_per_output_token_ms = 100.0
-        background = "TestbedLike"
-        max_events = 200000000
-        cvs = [0.5, 2.0, 4.0, 8.0]
-        rates = [10.0, 20.0]
-        clusters = ["PaperTestbed"]
-        policies = [{ Paper = "FlexPipe" }, { Paper = "AlpaServe" }, { Paper = "ServerlessLlm" }]
-
-        [lengths]
-        prompt_median = 1024.0
-        prompt_sigma = 0.9
-        prompt_range = [16, 8192]
-        output_mean = 64.0
-        output_range = [1, 1024]
-    "#;
-    let from_toml = parse_spec("sweep.toml", toml).unwrap();
-    assert_eq!(from_toml, base);
+    // Whitespace is surface syntax too: the compact and pretty-printed
+    // spellings of the same spec key identically.
+    let pretty = serde_json::to_string_pretty(&base).unwrap();
+    let from_pretty = parse_spec("sweep.json", &pretty).unwrap();
+    let from_compact = parse_spec("sweep.json", &reordered).unwrap();
+    assert_eq!(sweep_keys(&from_pretty), base_keys);
     assert_eq!(
-        sweep_keys(&from_toml),
+        sweep_keys(&from_compact),
         base_keys,
-        "TOML formatting must not re-key"
+        "JSON formatting must not re-key"
     );
 }
 

@@ -1,5 +1,6 @@
 //! End-to-end exercise of the `flexpipe-fleet` binary: init → run →
-//! compare → gate, including the non-zero exit on an injected regression.
+//! compare → gate, including the non-zero exit on an injected regression,
+//! and exit 1 (never an abort) on usage and input errors.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -304,4 +305,115 @@ fn usage_errors_exit_one() {
     assert_eq!(out.status.code(), Some(1));
     let out = bin().arg("gate").arg("x.json").output().unwrap();
     assert_eq!(out.status.code(), Some(1));
+}
+
+/// Removed inputs fail fast with exit 1: TOML specs (even with a valid
+/// JSON body), the `--store` backend switch and the `--admission`
+/// engine-mode switch.
+#[test]
+fn removed_inputs_exit_one() {
+    let dir = tmp_dir("removed");
+    let json = dir.join("sweep.json");
+    std::fs::write(&json, small_spec_json()).unwrap();
+    let toml = dir.join("sweep.toml");
+    std::fs::write(&toml, small_spec_json()).unwrap();
+    let campaign = dir.join("campaign.json");
+    std::fs::write(
+        &campaign,
+        r#"{"name": "c", "cache_dir": "cells", "entries": [{"kind": "Sweep", "path": "sweep.json"}]}"#,
+    )
+    .unwrap();
+
+    let out = bin().arg("run").arg(&toml).output().unwrap();
+    assert_eq!(out.status.code(), Some(1), "run x.toml: {out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("TOML"),
+        "the error names the refused format: {out:?}"
+    );
+    let cases: [(&[&str], &PathBuf, &str); 5] = [
+        (&["run"], &json, "--admission"),
+        (&["trace", "record"], &json, "--admission"),
+        (&["campaign"], &campaign, "--admission"),
+        (&["campaign"], &campaign, "--store"),
+        (&["worker"], &campaign, "--store"),
+    ];
+    for (verb, spec, flag) in cases {
+        let value = if flag == "--store" { "log" } else { "naive" };
+        let out = bin()
+            .args(verb)
+            .arg(spec)
+            .args([flag, value])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{verb:?} {flag}: {out:?}");
+    }
+    assert!(
+        !dir.join("cells").exists(),
+        "a rejected invocation must not touch the cache"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Specs that parse but would need unbounded arrival memory — an
+/// infinite horizon or warmup, or 1e6 req/s for 1e5 s — are refused at
+/// validation with exit 1 instead of aborting on allocation.
+#[test]
+fn oversize_specs_exit_one_instead_of_aborting() {
+    let dir = tmp_dir("oversize");
+    let base = small_spec_json();
+    let cases = [
+        (
+            "inf-horizon",
+            base.replace("\"horizon_secs\": 12.0", "\"horizon_secs\": 1e999"),
+            "finite",
+        ),
+        (
+            "inf-warmup",
+            base.replace("\"warmup_secs\": 3.0", "\"warmup_secs\": 1e999"),
+            "finite",
+        ),
+        (
+            "huge-rate",
+            base.replace("\"horizon_secs\": 12.0", "\"horizon_secs\": 1e5")
+                .replace("\"rates\": [3.0]", "\"rates\": [1e6]"),
+            "arrivals",
+        ),
+    ];
+    for (tag, spec, needle) in cases {
+        assert_ne!(spec, base, "{tag}: the substitution must apply");
+        let path = dir.join(format!("{tag}.json"));
+        std::fs::write(&path, &spec).unwrap();
+        let out = bin().arg("run").arg(&path).arg("--quiet").output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{tag}: {stderr}");
+        assert!(stderr.contains(needle), "{tag}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `cache stats` / `cache gc` are read and maintenance commands: a
+/// mistyped directory is an error, not an empty cache, and is not
+/// created.
+#[test]
+fn cache_commands_refuse_a_missing_dir() {
+    let dir = tmp_dir("nocache");
+    let missing = dir.join("nonexist");
+    let out = bin()
+        .arg("cache")
+        .arg("stats")
+        .arg(&missing)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let out = bin()
+        .arg("cache")
+        .arg("gc")
+        .arg(&missing)
+        .arg("--max-age")
+        .arg("0s")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(!missing.exists(), "a read command created the directory");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,14 +1,13 @@
-//! The `CacheStore` conformance suite: one set of behavioral contracts,
-//! executed verbatim against every backend (`localdisk`, `log`). Any
-//! future backend must pass this suite unchanged — the cache layer,
-//! worker protocol and `assemble` are written against exactly these
-//! semantics and nothing backend-specific.
+//! The cache store's conformance suite: the behavioral contracts the
+//! cache layer, worker protocol and `assemble` are written against —
+//! atomic last-writer-wins puts, at most one claim winner among racers,
+//! owner-only heartbeats and releases, and a gc that never touches
+//! claims.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Duration;
 
-use flexpipe_fleet::{open_store, CacheStore, ClaimOutcome, StoreKind};
+use flexpipe_fleet::{ClaimOutcome, LocalDiskStore};
 
 fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("flexpipe-store-{tag}-{}", std::process::id()));
@@ -16,16 +15,13 @@ fn tmp(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs `f` once per backend, each against a fresh directory.
-fn conformance(tag: &str, f: impl Fn(&dyn CacheStore)) {
-    for kind in [StoreKind::LocalDisk, StoreKind::Log] {
-        let dir = tmp(&format!("{tag}-{}", kind.name()));
-        let store = open_store(&dir, Some(kind)).unwrap();
-        assert_eq!(store.kind(), kind.name(), "backend identifies itself");
-        assert_eq!(store.root(), dir.as_path());
-        f(store.as_ref());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+/// Runs `f` against a store in a fresh directory, then removes it.
+fn conformance(tag: &str, f: impl Fn(&LocalDiskStore)) {
+    let dir = tmp(tag);
+    let store = LocalDiskStore::open(&dir).unwrap();
+    assert_eq!(store.root(), dir.as_path());
+    f(&store);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -143,11 +139,12 @@ fn claim_races_have_exactly_one_winner() {
         // duplicated compute would still be correct — but the protocol
         // itself must be atomic or it optimizes nothing.)
         let workers = 8;
-        let store: Arc<dyn CacheStore> = open_store(s.root(), None).unwrap();
         let acquired: Vec<bool> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
-                    let store = Arc::clone(&store);
+                    // Each racer opens its own handle, as separate
+                    // processes sharing the directory would.
+                    let store = LocalDiskStore::open(s.root()).unwrap();
                     scope.spawn(move || {
                         matches!(
                             store.try_claim("dd44", &format!("w{w}")).unwrap(),
@@ -199,23 +196,19 @@ fn gc_evicts_oldest_first_and_never_touches_live_claims() {
 }
 
 #[test]
-fn reopening_a_store_sees_everything_and_autodetects_the_backend() {
-    for kind in [StoreKind::LocalDisk, StoreKind::Log] {
-        let dir = tmp(&format!("reopen-{}", kind.name()));
-        {
-            let store = open_store(&dir, Some(kind)).unwrap();
-            store.put("aa11", "persisted").unwrap();
-            store.try_claim("bb22", "w1").unwrap();
-        }
-        // Reopen with no preference: autodetection must find the same
-        // backend and all its state (this is what lets N worker
-        // processes share one directory without agreeing on flags).
-        let store = open_store(&dir, None).unwrap();
-        assert_eq!(store.kind(), kind.name());
-        assert_eq!(store.get("aa11").unwrap().as_deref(), Some("persisted"));
-        assert_eq!(store.list_claims().unwrap().len(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
+fn reopening_a_store_sees_everything() {
+    let dir = tmp("reopen");
+    {
+        let store = LocalDiskStore::open(&dir).unwrap();
+        store.put("aa11", "persisted").unwrap();
+        store.try_claim("bb22", "w1").unwrap();
     }
+    // A fresh handle sees all state on disk (this is what lets N worker
+    // processes share one directory).
+    let store = LocalDiskStore::open(&dir).unwrap();
+    assert_eq!(store.get("aa11").unwrap().as_deref(), Some("persisted"));
+    assert_eq!(store.list_claims().unwrap().len(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -231,36 +224,4 @@ fn stale_claims_can_be_taken_over_after_reaping() {
         assert_eq!(s.reap_stale_claims(Duration::ZERO).unwrap(), 1);
         assert_eq!(s.try_claim("aa11", "w2").unwrap(), ClaimOutcome::Acquired);
     });
-}
-
-#[test]
-fn log_backend_compacts_on_gc_without_losing_live_state() {
-    // Log-specific shape check (the seam the second backend proves): gc
-    // rewrites the append log, dropping dead put/claim records while
-    // keeping live entries and claims readable.
-    let dir = tmp("compact");
-    let store = open_store(&dir, Some(StoreKind::Log)).unwrap();
-    for i in 0..5 {
-        store.put("aa11", &format!("version-{i}")).unwrap();
-    }
-    store.put("bb22", "keep").unwrap();
-    store.try_claim("cc33", "w1").unwrap();
-    store.try_claim("dd44", "w2").unwrap();
-    store.release_claim("dd44", "w2").unwrap();
-    let before = std::fs::metadata(dir.join("cells.log")).unwrap().len();
-    // A no-op-bounds gc still compacts the five dead aa11 versions and
-    // the released claim out of the log.
-    let out = store.gc(None, None).unwrap();
-    assert_eq!(out.removed, 0);
-    let after = std::fs::metadata(dir.join("cells.log")).unwrap().len();
-    assert!(
-        after < before,
-        "compaction should shrink the log: {before} -> {after}"
-    );
-    assert_eq!(store.get("aa11").unwrap().as_deref(), Some("version-4"));
-    assert_eq!(store.get("bb22").unwrap().as_deref(), Some("keep"));
-    let claims = store.list_claims().unwrap();
-    assert_eq!(claims.len(), 1);
-    assert_eq!(claims[0].key, "cc33");
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,7 +3,7 @@
 //! assemble`, and the headline determinism contract — the assembled
 //! artifact set is byte-identical whether one process ran the campaign,
 //! three sharded workers split it, or three claiming workers raced over
-//! it, at shuffled thread counts, on either storage backend.
+//! it, at shuffled thread counts.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -132,9 +132,8 @@ fn assemble(campaign: &Path, cache: &Path, out_dir: &Path) -> Output {
 }
 
 /// The tentpole contract: 1 process vs 3 sharded workers vs 3
-/// concurrent claiming workers (threads shuffled) vs 1 worker on the
-/// append-log backend — four topologies, one byte-identical artifact
-/// set.
+/// concurrent claiming workers (threads shuffled) — three topologies,
+/// one byte-identical artifact set.
 #[test]
 fn topologies_assemble_byte_identical_artifacts() {
     let dir = tmp_dir("topo");
@@ -223,29 +222,6 @@ fn topologies_assemble_byte_identical_artifacts() {
         "drained campaign left claims: {stdout}"
     );
     assert!(stdout.contains("5 entries"), "{stdout}");
-
-    // Topology 4: one worker on the append-log backend — the same cells
-    // through a structurally different store, same bytes out.
-    let cache = dir.join("cells-log");
-    run_ok(
-        bin()
-            .arg("worker")
-            .arg(&campaign)
-            .arg("--cache")
-            .arg(&cache)
-            .arg("--store")
-            .arg("log")
-            .arg("--threads")
-            .arg("2")
-            .arg("--quiet"),
-    );
-    assert!(cache.join("cells.log").is_file(), "log backend selected");
-    assemble(&campaign, &cache, &dir.join("out-log"));
-    assert_eq!(
-        reference,
-        read_dir_bytes(&dir.join("out-log")),
-        "append-log backend diverged from the single-process run"
-    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -14,7 +14,7 @@ use flexpipe_cluster::ClusterSpec;
 use flexpipe_model::ModelId;
 use flexpipe_serving::ControlPolicy;
 use flexpipe_sim::{SimDuration, SimRng, SimTime};
-use flexpipe_workload::{ArrivalSpec, LengthProfile, Workload, WorkloadSpec};
+use flexpipe_workload::{check_arrival_budget, ArrivalSpec, LengthProfile, Workload, WorkloadSpec};
 
 use serde::{Deserialize, Serialize};
 
@@ -161,7 +161,7 @@ impl ServeSpec {
         if self.ubatch_size == 0 {
             return err("ubatch_size must be positive".into());
         }
-        Ok(())
+        check_arrival_budget(self.rate, self.span_secs()).map_err(GatewayError)
     }
 
     /// The arrival span (warmup + horizon), virtual seconds.

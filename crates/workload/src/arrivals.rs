@@ -20,6 +20,36 @@ pub trait RateFn {
     fn max_rate(&self) -> f64;
 }
 
+/// The most arrivals a spec may expect one generated workload to hold.
+///
+/// Generators materialize every arrival up front (40 bytes per request
+/// with its record), so an oversize spec would abort the process on
+/// allocation before any step budget could act. 2e7 arrivals is under
+/// 1 GB of records and about 90× the largest committed workload (the
+/// pinned live-scaling spec, ~2.2e5 arrivals).
+pub const MAX_EXPECTED_ARRIVALS: f64 = 2e7;
+
+/// Spec validation shared by every spec kind that generates arrivals:
+/// the arrival span (warmup + horizon, stretched by any rate surges)
+/// must be finite, and the expected arrival count `rate_per_sec ×
+/// span_secs` at most [`MAX_EXPECTED_ARRIVALS`]. Returns a message
+/// naming the problem.
+pub fn check_arrival_budget(rate_per_sec: f64, span_secs: f64) -> Result<(), String> {
+    if !span_secs.is_finite() {
+        return Err(format!(
+            "the arrival span (warmup + horizon) must be finite, got {span_secs} s"
+        ));
+    }
+    let expected = rate_per_sec * span_secs;
+    if !expected.is_finite() || expected > MAX_EXPECTED_ARRIVALS {
+        return Err(format!(
+            "{rate_per_sec} req/s over {span_secs} s expects {expected:.3e} arrivals, \
+             above the cap of {MAX_EXPECTED_ARRIVALS:.0e}"
+        ));
+    }
+    Ok(())
+}
+
 /// Generates Gamma-renewal arrivals until `horizon_secs`.
 pub fn gen_gamma_renewal(
     rate_per_sec: f64,
@@ -124,6 +154,18 @@ pub fn interarrival_cv(arrivals: &[SimTime]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn arrival_budget_rejects_infinite_and_oversize_spans() {
+        assert!(check_arrival_budget(20.0, 150.0).is_ok());
+        assert!(check_arrival_budget(1e3, 2e4).is_ok()); // exactly the cap
+        assert!(check_arrival_budget(1.0, f64::INFINITY).is_err());
+        assert!(check_arrival_budget(1.0, f64::NAN).is_err());
+        let err = check_arrival_budget(1e6, 1e5).unwrap_err();
+        assert!(err.contains("1.000e11"), "{err}");
+        // A finite but overflowing product is rejected, not wrapped.
+        assert!(check_arrival_budget(1e300, 1e300).is_err());
+    }
 
     #[test]
     fn gamma_renewal_hits_rate_and_cv() {

@@ -20,7 +20,8 @@ pub mod request;
 pub mod trace;
 
 pub use arrivals::{
-    gen_gamma_renewal, gen_mmpp, gen_nhpp, gen_poisson, interarrival_cv, MmppState, RateFn,
+    check_arrival_budget, gen_gamma_renewal, gen_mmpp, gen_nhpp, gen_poisson, interarrival_cv,
+    MmppState, RateFn, MAX_EXPECTED_ARRIVALS,
 };
 pub use builder::{ArrivalSpec, WorkloadSpec};
 pub use cv::{cv_in_window, windowed_cv_series, CvEstimator, CvPoint};
