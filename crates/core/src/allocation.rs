@@ -9,7 +9,10 @@
 //!
 //! Solved greedily with a local-search improvement pass — the candidate
 //! set is small (stages × GPUs) and decisions must stay inside the paper's
-//! < 5 ms budget.
+//! < 5 ms budget. One placement costs O(G + |forbidden|) to mask the
+//! forbidden devices, O(stages × G) for the greedy pass and O(stages³)
+//! per local-search sweep; nothing scales with the number of replicas
+//! already deployed.
 
 use serde::{Deserialize, Serialize};
 
@@ -85,7 +88,7 @@ impl AllocationOptimizer {
 
     /// Per-(stage, gpu) score: normalised throughput density minus the
     /// multiplexing penalty when the GPU already hosts other tenants.
-    fn score_one(
+    pub(crate) fn score_one(
         &self,
         cluster: &Cluster,
         interference_coeff: f64,
@@ -119,7 +122,7 @@ impl AllocationOptimizer {
     ///
     /// `forbidden` GPUs (already hosting stages of this model) are never
     /// used — the §6.2 anti-colocation rule. Returns `None` when any stage
-    /// cannot be placed.
+    /// cannot be placed. Both GPU lists must name devices of `cluster`.
     #[allow(clippy::too_many_arguments)]
     pub fn assign(
         &self,
@@ -163,10 +166,16 @@ impl AllocationOptimizer {
         cv: f64,
         bias: &dyn Fn(GpuId) -> f64,
     ) -> Option<Assignment> {
+        // Dense membership mask indexed by GPU id: forbidden devices now,
+        // devices taken by earlier stages as the greedy pass proceeds.
+        let mut blocked = vec![false; cluster.topology().gpu_count()];
+        for g in forbidden {
+            blocked[g.0 as usize] = true;
+        }
         let usable: Vec<GpuId> = candidates
             .iter()
             .copied()
-            .filter(|g| !forbidden.contains(g))
+            .filter(|g| !blocked[g.0 as usize])
             .collect();
         if usable.len() < needs.len() {
             return None;
@@ -176,12 +185,11 @@ impl AllocationOptimizer {
         let mut order: Vec<usize> = (0..needs.len()).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(needs[i].mem_bytes));
         let mut chosen: Vec<Option<GpuId>> = vec![None; needs.len()];
-        let mut taken: Vec<GpuId> = Vec::new();
         for &i in &order {
             let best = usable
                 .iter()
                 .copied()
-                .filter(|g| !taken.contains(g))
+                .filter(|g| !blocked[g.0 as usize])
                 .filter_map(|g| {
                     self.score_one(cluster, interference_coeff, &needs[i], g, cv)
                         .map(|s| (s + bias(g), g))
@@ -189,7 +197,7 @@ impl AllocationOptimizer {
                 .max_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(b.1.cmp(&a.1)));
             let (_, g) = best?;
             chosen[i] = Some(g);
-            taken.push(g);
+            blocked[g.0 as usize] = true;
         }
         let mut gpus: Vec<GpuId> = chosen.into_iter().map(|c| c.expect("placed")).collect();
 

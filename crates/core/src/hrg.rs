@@ -131,15 +131,25 @@ impl Hrg {
         temporal + self.params.w_gpus * avail
     }
 
+    /// Net placement bias of `server`: affinity bonus minus contention
+    /// penalty. The one definition behind both [`Hrg::bias`] and the
+    /// per-server table of [`Hrg::place`], so their scores agree bit for
+    /// bit.
+    pub(crate) fn server_bias(&self, cluster: &Cluster, server: ServerId, now: SimTime) -> f64 {
+        self.affinity(cluster, server, now) - self.contention(cluster, server, now)
+    }
+
     /// Net per-GPU placement bias: affinity bonus minus contention penalty
     /// of the hosting server.
     pub fn bias(&self, cluster: &Cluster, gpu: GpuId, now: SimTime) -> f64 {
-        let server = cluster.topology().gpu(gpu).server;
-        self.affinity(cluster, server, now) - self.contention(cluster, server, now)
+        self.server_bias(cluster, cluster.topology().gpu(gpu).server, now)
     }
 
     /// Topology-aware placement: runs the Eq. (6)–(9) optimizer with the
     /// HRG bias, then records scaling events on the chosen servers.
+    ///
+    /// The bias is evaluated once per server up front (O(G) in total) and
+    /// looked up per candidate GPU, so scoring never rescans a server.
     #[allow(clippy::too_many_arguments)]
     pub fn place(
         &mut self,
@@ -153,7 +163,11 @@ impl Hrg {
         cv: f64,
         now: SimTime,
     ) -> Option<Assignment> {
-        let candidates: Vec<GpuId> = cluster.topology().gpus().iter().map(|g| g.id).collect();
+        let topo = cluster.topology();
+        let candidates: Vec<GpuId> = topo.gpus().iter().map(|g| g.id).collect();
+        let server_bias: Vec<f64> = (0..topo.server_count() as u32)
+            .map(|s| self.server_bias(cluster, ServerId(s), now))
+            .collect();
         let assignment = optimizer.assign_biased(
             cluster,
             graph,
@@ -163,7 +177,7 @@ impl Hrg {
             &candidates,
             forbidden,
             cv,
-            &|g| self.bias(cluster, g, now),
+            &|g| server_bias[topo.gpu(g).server.0 as usize],
         )?;
         for &g in &assignment.gpus {
             let server = cluster.topology().gpu(g).server;
@@ -173,6 +187,9 @@ impl Hrg {
         Some(assignment)
     }
 }
+
+#[cfg(test)]
+mod placement_oracle;
 
 #[cfg(test)]
 mod tests {

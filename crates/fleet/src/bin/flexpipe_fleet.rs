@@ -71,12 +71,14 @@
 //!     --textual               compare raw lines instead (the old byte-level diff)
 //! flexpipe-fleet trace profile [--instances N]    engine dispatch self-time table
 //!                                                 (default 1500 instances), incl.
-//!                                                 the policy.on_tick row, then the
-//!                                                 FlexPipe control-plane comparisons:
+//!                                                 the policy.init and policy.on_tick
+//!                                                 rows, then the FlexPipe
+//!                                                 control-plane comparisons:
 //!                                                 on_tick self-time warm-start
 //!                                                 (indexed) vs from-scratch (naive),
 //!                                                 and the calm-tick plan cache vs
-//!                                                 the per-tick refactor-pass walk;
+//!                                                 the per-tick refactor-pass walk,
+//!                                                 each with its policy.init time;
 //!                                                 exit 2 if either speedup falls
 //!                                                 below the floor
 //!     --min-speedup <x>       required indexed-vs-naive on_tick speedup
@@ -1241,7 +1243,8 @@ fn cmd_trace(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
                     let (m, o) = run(instances, mode);
                     secs[i] = o.profiler.total_secs("policy.on_tick");
                     eprintln!(
-                        "  {:>7}: {} on_tick calls, {:.2} ms total self-time",
+                        "  {:>7}: {} on_tick calls, {:.2} ms total self-time; \
+                         policy.init {:.2} ms",
                         if mode == AdmissionMode::Indexed {
                             "indexed"
                         } else {
@@ -1249,6 +1252,7 @@ fn cmd_trace(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
                         },
                         o.profiler.calls("policy.on_tick"),
                         secs[i] * 1e3,
+                        o.profiler.total_secs("policy.init") * 1e3,
                     );
                     if m.truncated {
                         eprintln!("warning: control-plane profile hit its step budget");

@@ -682,7 +682,9 @@ impl Engine {
     /// start from bit-identical state.
     pub(crate) fn prime(&mut self, queue: &mut EventQueue<Event>) {
         // Policy initialisation (deploys the initial configuration).
+        let timer = self.profiler.start();
         self.with_policy(queue, |p, ctx| p.init(ctx));
+        self.profiler.stop("policy.init", timer);
         // Seed the event streams.
         if !self.state.workload.is_empty() {
             let t = self.state.workload[0].arrival;

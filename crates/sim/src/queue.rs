@@ -208,18 +208,21 @@ impl<E> EventQueue<E> {
     /// batch in unchanged relative order. Returns `None` when the queue is
     /// empty or `index` is out of range for the front batch (the queue is
     /// left untouched).
+    ///
+    /// Costs O((index + 1) · log n): only the events ahead of the choice
+    /// are popped and pushed back, never the rest of the batch.
     pub fn pop_tied(&mut self, index: usize) -> Option<(SimTime, E)> {
         let t = self.peek_time()?;
-        let mut batch = Vec::new();
-        while self.heap.peek().is_some_and(|s| s.at == t) {
-            batch.push(self.heap.pop().expect("peeked"));
+        let mut ahead = Vec::new();
+        while ahead.len() < index && self.heap.peek().is_some_and(|s| s.at == t) {
+            ahead.push(self.heap.pop().expect("peeked"));
         }
-        if index >= batch.len() {
-            self.heap.extend(batch);
+        if ahead.len() < index || self.heap.peek().is_none_or(|s| s.at != t) {
+            self.heap.extend(ahead);
             return None;
         }
-        let chosen = batch.swap_remove(index);
-        self.heap.extend(batch);
+        let chosen = self.heap.pop().expect("peeked");
+        self.heap.extend(ahead);
         debug_assert!(chosen.at >= self.now, "event queue time went backwards");
         self.now = chosen.at;
         self.popped += 1;
@@ -355,10 +358,78 @@ mod tests {
         assert_eq!(q.pop_tied(0), Some((t, 1)));
         // The later event is untouched and out-of-range choices are inert.
         assert_eq!(q.pop_tied(1), None);
+        assert_eq!(q.pop_tied(usize::MAX), None);
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop_tied(0), Some((SimTime::from_secs(2), 99)));
         assert_eq!(q.pop_tied(0), None);
         assert_eq!(q.events_fired(), 5);
+    }
+
+    /// The original full-batch `pop_tied`: pops the whole front batch,
+    /// takes the `index`-th event and pushes the rest back.
+    fn pop_tied_full_batch<E>(q: &mut EventQueue<E>, index: usize) -> Option<(SimTime, E)> {
+        let t = q.peek_time()?;
+        let mut batch = Vec::new();
+        while q.heap.peek().is_some_and(|s| s.at == t) {
+            batch.push(q.heap.pop().expect("peeked"));
+        }
+        if index >= batch.len() {
+            q.heap.extend(batch);
+            return None;
+        }
+        let chosen = batch.swap_remove(index);
+        q.heap.extend(batch);
+        q.now = chosen.at;
+        q.popped += 1;
+        Some((chosen.at, chosen.event))
+    }
+
+    fn drain(mut q: EventQueue<u32>) -> (Vec<(SimTime, u32)>, SimTime, u64) {
+        let order = std::iter::from_fn(|| q.pop()).collect();
+        (order, q.now(), q.events_fired())
+    }
+
+    #[test]
+    fn pop_tied_matches_full_batch_reference() {
+        let mut rng = crate::rng::SimRng::seed(0x71ed);
+        for _ in 0..50 {
+            let mut q = EventQueue::new();
+            for id in 0..rng.below(40) as u32 {
+                // Few distinct instants, so tie batches are large.
+                let at = SimTime::from_secs(rng.below(4));
+                q.schedule(at, id).unwrap();
+            }
+            while !q.is_empty() {
+                let batch = q.front_batch().len();
+                for i in 0..=batch {
+                    let mut fast = q.clone();
+                    let mut full = q.clone();
+                    assert_eq!(fast.pop_tied(i), pop_tied_full_batch(&mut full, i));
+                    assert_eq!(drain(fast), drain(full), "choice {i} of {batch}");
+                }
+                let i = rng.below(batch as u64) as usize;
+                let mut full = q.clone();
+                assert_eq!(q.pop_tied(i), pop_tied_full_batch(&mut full, i));
+                // New events may join the batch at the current instant.
+                if rng.chance(0.3) {
+                    q.schedule_now(1000 + q.len() as u32);
+                }
+            }
+            // Repeated choice 0 is plain `pop`.
+            let mut a = EventQueue::new();
+            for id in 0..rng.below(40) as u32 {
+                a.schedule(SimTime::from_secs(rng.below(4)), id).unwrap();
+            }
+            let mut b = a.clone();
+            loop {
+                let x = a.pop();
+                assert_eq!(x, b.pop_tied(0));
+                if x.is_none() {
+                    break;
+                }
+            }
+            assert_eq!(a.events_fired(), b.events_fired());
+        }
     }
 
     #[test]
