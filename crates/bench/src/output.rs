@@ -23,13 +23,6 @@ pub fn write_result(name: &str, table: &Table) {
     let _ = fs::write(dir.join(format!("{name}.csv")), table.to_csv());
 }
 
-/// Appends free-form notes next to a result.
-pub fn write_notes(name: &str, notes: &str) {
-    println!("{notes}");
-    let dir = results_dir();
-    let _ = fs::write(dir.join(format!("{name}.notes.txt")), notes);
-}
-
 /// A measurement window helper shared by the figure binaries.
 #[derive(Debug, Clone, Copy)]
 pub struct SteadyWindow {

@@ -13,7 +13,8 @@
 //! 2. **Bounded interleaving exploration** ([`fn@explore`]): a driver runs
 //!    small committed scenarios through systematically permuted orderings
 //!    of same-virtual-time event batches (via
-//!    [`flexpipe_serving::SteppedEngine`]), asserting every schedule
+//!    [`flexpipe_serving::Driver::step`], the same driver every run
+//!    uses), asserting every schedule
 //!    converges to an equivalent trace and a byte-identical report, with
 //!    persistent-set pruning and a counterexample printer that emits the
 //!    minimal divergent schedule as a replayable spec.

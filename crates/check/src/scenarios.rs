@@ -10,8 +10,8 @@ use flexpipe_model::{zoo, CostModel, ModelGraph};
 use flexpipe_obs::{TraceEvent, TraceMode};
 use flexpipe_partition::{GranularityLattice, PartitionParams, Partitioner};
 use flexpipe_serving::{
-    ControlPolicy, Ctx, Engine, EngineConfig, InstanceId, InstanceState, Placement, RefactorPlan,
-    Scenario, StageAssign, SteppedEngine,
+    ControlPolicy, Ctx, Driver, Engine, EngineConfig, InstanceId, InstanceState, Placement,
+    RefactorPlan, Scenario, StageAssign,
 };
 use flexpipe_sim::{SimDuration, SimTime};
 use flexpipe_workload::{ArrivalSpec, LengthProfile, Request, RequestId, Workload, WorkloadSpec};
@@ -49,8 +49,8 @@ impl CheckScenario {
     }
 
     /// A primed step-controllable driver for this scenario.
-    pub fn stepped(&self) -> SteppedEngine {
-        SteppedEngine::new(self.engine())
+    pub fn stepped(&self) -> Driver {
+        Driver::new(self.engine())
     }
 
     /// All committed scenarios.

@@ -91,11 +91,6 @@ impl Provisioner {
         &self.always_on
     }
 
-    /// Number of GPUs currently acquired.
-    pub fn in_use_count(&self) -> usize {
-        self.in_use.len()
-    }
-
     /// Whether `gpu` is currently acquired by us.
     pub fn is_in_use(&self, gpu: GpuId) -> bool {
         self.in_use.contains_key(&gpu)

@@ -212,13 +212,6 @@ impl BackgroundTenants {
         cluster.set_background(gpu, (mem_frac * cap as f64) as u64, sm_frac, services);
     }
 
-    /// Draws the next churn delay for a single GPU.
-    pub fn next_churn(&mut self) -> SimDuration {
-        let mean = self.profile.churn_mean.as_secs_f64();
-        let u = self.rng.f64().max(1e-12);
-        SimDuration::from_secs_f64(-mean * u.ln())
-    }
-
     /// Applies one churn step: resamples each GPU independently with
     /// probability `dt / churn_mean` (first-order approximation suitable
     /// for coarse stepping).

@@ -245,11 +245,6 @@ impl Cluster {
         self.leases.get(&id).copied()
     }
 
-    /// Number of live leases.
-    pub fn lease_count(&self) -> usize {
-        self.leases.len()
-    }
-
     /// Iterates over GPU ids whose free memory is at least `min_free`
     /// bytes; revoked devices are never yielded.
     pub fn gpus_with_free(&self, min_free: u64) -> impl Iterator<Item = GpuId> + '_ {

@@ -233,6 +233,23 @@ fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>,
     }
 }
 
+/// Pulls `--flag <value>` out of the argument list and parses it
+/// (`None` when the flag is absent). A value that does not parse is a
+/// usage error: "`flag` needs `what`" on stderr, exit 1.
+fn take_parsed<T: std::str::FromStr>(
+    args: &mut Vec<String>,
+    flag: &str,
+    what: &str,
+) -> Result<Option<T>, ExitCode> {
+    let Some(v) = take_flag_value(args, flag)? else {
+        return Ok(None);
+    };
+    v.parse().map(Some).map_err(|_| {
+        eprintln!("{flag} needs {what}");
+        ExitCode::from(1)
+    })
+}
+
 /// Pulls a boolean `--flag` out of the argument list.
 fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
     if let Some(i) = args.iter().position(|a| a == flag) {
@@ -280,23 +297,12 @@ fn cmd_init(args: Vec<String>) -> Result<ExitCode, ExitCode> {
 
 fn cmd_run(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
     let out = take_flag_value(&mut args, "--out")?;
-    let threads = match take_flag_value(&mut args, "--threads")? {
-        Some(t) => t.parse::<usize>().map_err(|_| {
-            eprintln!("--threads needs an integer");
-            ExitCode::from(1)
-        })?,
-        None => 0,
-    };
+    let threads = take_parsed::<usize>(&mut args, "--threads", "an integer")?.unwrap_or(0);
     let quiet = take_flag(&mut args, "--quiet");
     let verbose = take_flag(&mut args, "--verbose");
     let gate_baseline = take_flag_value(&mut args, "--gate")?;
-    let tolerance = match take_flag_value(&mut args, "--tolerance")? {
-        Some(t) => t.parse::<f64>().map_err(|_| {
-            eprintln!("--tolerance needs a number (e.g. 0.02)");
-            ExitCode::from(1)
-        })?,
-        None => GateConfig::default().tolerance,
-    };
+    let tolerance = take_parsed::<f64>(&mut args, "--tolerance", "a number (e.g. 0.02)")?
+        .unwrap_or(GateConfig::default().tolerance);
     let [spec_path] = args.as_slice() else {
         return Err(usage());
     };
@@ -368,13 +374,7 @@ fn cmd_bench(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
     }
 
     let out = take_flag_value(&mut args, "--out")?;
-    let threads = match take_flag_value(&mut args, "--threads")? {
-        Some(t) => t.parse::<usize>().map_err(|_| {
-            eprintln!("--threads needs an integer");
-            ExitCode::from(1)
-        })?,
-        None => 0,
-    };
+    let threads = take_parsed::<usize>(&mut args, "--threads", "an integer")?.unwrap_or(0);
     let quiet = take_flag(&mut args, "--quiet");
     let rates = take_flag_value(&mut args, "--rates")?;
     let hot_paths = take_flag(&mut args, "--hot-paths");
@@ -573,13 +573,8 @@ fn cmd_serve(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
 
     let out_dir = take_flag_value(&mut args, "--out-dir")?;
     let unpaced = take_flag(&mut args, "--unpaced");
-    let time_scale = match take_flag_value(&mut args, "--time-scale")? {
-        Some(v) => v.parse::<f64>().map_err(|_| {
-            eprintln!("--time-scale needs a number (e.g. 50)");
-            ExitCode::from(1)
-        })?,
-        None => 1.0,
-    };
+    let time_scale =
+        take_parsed::<f64>(&mut args, "--time-scale", "a number (e.g. 50)")?.unwrap_or(1.0);
     let spill = parse_spill(&mut args)?;
     let [spec_path] = args.as_slice() else {
         return Err(usage());
@@ -696,27 +691,10 @@ fn cmd_bench_live(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
             })?,
         None => vec![1, 2, 4],
     };
-    let min_scaling = match take_flag_value(&mut args, "--min-scaling")? {
-        Some(v) => v.parse::<f64>().map_err(|_| {
-            eprintln!("--min-scaling needs a number (e.g. 1.6)");
-            ExitCode::from(1)
-        })?,
-        None => 1.6,
-    };
-    let horizon = match take_flag_value(&mut args, "--horizon")? {
-        Some(v) => Some(v.parse::<f64>().map_err(|_| {
-            eprintln!("--horizon needs a number of seconds");
-            ExitCode::from(1)
-        })?),
-        None => None,
-    };
-    let rate = match take_flag_value(&mut args, "--rate")? {
-        Some(v) => Some(v.parse::<f64>().map_err(|_| {
-            eprintln!("--rate needs a number (requests/second)");
-            ExitCode::from(1)
-        })?),
-        None => None,
-    };
+    let min_scaling =
+        take_parsed::<f64>(&mut args, "--min-scaling", "a number (e.g. 1.6)")?.unwrap_or(1.6);
+    let horizon = take_parsed::<f64>(&mut args, "--horizon", "a number of seconds")?;
+    let rate = take_parsed::<f64>(&mut args, "--rate", "a number (requests/second)")?;
     let json = take_flag(&mut args, "--json");
     if !args.is_empty() {
         return Err(usage());
@@ -832,24 +810,13 @@ fn cmd_campaign(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
     let out_dir = take_flag_value(&mut args, "--out-dir")?;
     let cache_override = take_flag_value(&mut args, "--cache")?;
     let no_cache = take_flag(&mut args, "--no-cache");
-    let threads = match take_flag_value(&mut args, "--threads")? {
-        Some(t) => t.parse::<usize>().map_err(|_| {
-            eprintln!("--threads needs an integer");
-            ExitCode::from(1)
-        })?,
-        None => 0,
-    };
+    let threads = take_parsed::<usize>(&mut args, "--threads", "an integer")?.unwrap_or(0);
     let quiet = take_flag(&mut args, "--quiet");
     let verbose = take_flag(&mut args, "--verbose");
     let assert_warm = take_flag(&mut args, "--assert-warm");
     let gate_dir = take_flag_value(&mut args, "--gate")?;
-    let tolerance = match take_flag_value(&mut args, "--tolerance")? {
-        Some(t) => t.parse::<f64>().map_err(|_| {
-            eprintln!("--tolerance needs a number (e.g. 0.02)");
-            ExitCode::from(1)
-        })?,
-        None => GateConfig::default().tolerance,
-    };
+    let tolerance = take_parsed::<f64>(&mut args, "--tolerance", "a number (e.g. 0.02)")?
+        .unwrap_or(GateConfig::default().tolerance);
     if no_cache && cache_override.is_some() {
         eprintln!("--no-cache and --cache are mutually exclusive");
         return Err(ExitCode::from(1));
@@ -1020,20 +987,8 @@ fn cmd_worker(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
         None => flexpipe_fleet::DEFAULT_CLAIM_TTL,
     };
     let worker_id = take_flag_value(&mut args, "--worker-id")?;
-    let max_cells = match take_flag_value(&mut args, "--max-cells")? {
-        Some(v) => Some(v.parse::<usize>().map_err(|_| {
-            eprintln!("--max-cells needs an integer");
-            ExitCode::from(1)
-        })?),
-        None => None,
-    };
-    let threads = match take_flag_value(&mut args, "--threads")? {
-        Some(t) => t.parse::<usize>().map_err(|_| {
-            eprintln!("--threads needs an integer");
-            ExitCode::from(1)
-        })?,
-        None => 0,
-    };
+    let max_cells = take_parsed::<usize>(&mut args, "--max-cells", "an integer")?;
+    let threads = take_parsed::<usize>(&mut args, "--threads", "an integer")?.unwrap_or(0);
     let quiet = take_flag(&mut args, "--quiet");
     let verbose = take_flag(&mut args, "--verbose");
     let [spec_path] = args.as_slice() else {
@@ -1167,20 +1122,10 @@ fn cmd_trace(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
             })
         }
         "profile" => {
-            let instances = match take_flag_value(&mut args, "--instances")? {
-                Some(v) => v.parse::<u32>().map_err(|_| {
-                    eprintln!("--instances needs an integer");
-                    ExitCode::from(1)
-                })?,
-                None => 1500,
-            };
-            let min_speedup = match take_flag_value(&mut args, "--min-speedup")? {
-                Some(v) => v.parse::<f64>().map_err(|_| {
-                    eprintln!("--min-speedup needs a number");
-                    ExitCode::from(1)
-                })?,
-                None => 2.0,
-            };
+            let instances =
+                take_parsed::<u32>(&mut args, "--instances", "an integer")?.unwrap_or(1500);
+            let min_speedup =
+                take_parsed::<f64>(&mut args, "--min-speedup", "a number")?.unwrap_or(2.0);
             let json = take_flag(&mut args, "--json");
             if !args.is_empty() {
                 return Err(usage());
@@ -1296,13 +1241,7 @@ fn cmd_trace(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
 /// `fleet check equiv --cross-shard`: prove an N-shard live run is
 /// request-equivalent to the 1-shard canonical run.
 fn cmd_check_cross_shard(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
-    let shards = match take_flag_value(&mut args, "--shards")? {
-        Some(v) => v.parse::<u32>().map_err(|_| {
-            eprintln!("--shards needs an integer");
-            ExitCode::from(1)
-        })?,
-        None => 2,
-    };
+    let shards = take_parsed::<u32>(&mut args, "--shards", "an integer")?.unwrap_or(2);
     let spec = match take_flag_value(&mut args, "--spec")? {
         Some(p) => {
             let mut s: ServeSpec = serde_json::from_str(&read(&p)?).map_err(|e| {
@@ -1390,13 +1329,8 @@ fn cmd_check(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
         // the checker went blind, not that the engine got better).
         "explore" => {
             let scenario = take_flag_value(&mut args, "--scenario")?;
-            let max_schedules = match take_flag_value(&mut args, "--max-schedules")? {
-                Some(v) => v.parse::<usize>().map_err(|_| {
-                    eprintln!("--max-schedules needs an integer");
-                    ExitCode::from(1)
-                })?,
-                None => 2048,
-            };
+            let max_schedules =
+                take_parsed::<usize>(&mut args, "--max-schedules", "an integer")?.unwrap_or(2048);
             let prune = !take_flag(&mut args, "--no-prune");
             if !args.is_empty() {
                 return Err(usage());
@@ -1524,13 +1458,8 @@ fn cmd_cache(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
                 })?),
                 None => None,
             };
-            let max_bytes = match take_flag_value(&mut args, "--max-bytes")? {
-                Some(v) => Some(v.parse::<u64>().map_err(|_| {
-                    eprintln!("--max-bytes needs a byte count (e.g. 104857600)");
-                    ExitCode::from(1)
-                })?),
-                None => None,
-            };
+            let max_bytes =
+                take_parsed::<u64>(&mut args, "--max-bytes", "a byte count (e.g. 104857600)")?;
             if max_age.is_none() && max_bytes.is_none() {
                 eprintln!(
                     "cache gc requires --max-age <duration> (e.g. 7d) and/or --max-bytes <N>"
@@ -1576,13 +1505,8 @@ fn cmd_gate(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
         eprintln!("gate requires --baseline <baseline.json>");
         return Err(ExitCode::from(1));
     };
-    let tolerance = match take_flag_value(&mut args, "--tolerance")? {
-        Some(t) => t.parse::<f64>().map_err(|_| {
-            eprintln!("--tolerance needs a number (e.g. 0.02)");
-            ExitCode::from(1)
-        })?,
-        None => GateConfig::default().tolerance,
-    };
+    let tolerance = take_parsed::<f64>(&mut args, "--tolerance", "a number (e.g. 0.02)")?
+        .unwrap_or(GateConfig::default().tolerance);
     let strict_cells = take_flag(&mut args, "--strict-cells");
     let [candidate_path] = args.as_slice() else {
         return Err(usage());

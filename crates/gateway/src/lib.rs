@@ -15,7 +15,8 @@
 //! - [`serve`](mod@serve) — the orchestration: an open-loop generator
 //!   pacing the
 //!   stream onto `N` shard threads, each an independent engine
-//!   partition driven through `flexpipe_serving::LiveEngine`;
+//!   partition injected through `flexpipe_serving::Driver`, the
+//!   engine driver offline runs use too;
 //!   [`serve()`](serve::serve) records, [`replay()`](serve::replay)
 //!   re-executes a recording byte-for-byte;
 //! - [`bench`](mod@bench) — the shard-scaling benchmark behind

@@ -1,5 +1,5 @@
-//! The per-shard driver: one thread, one engine partition, one
-//! [`LiveEngine`] fed from a channel.
+//! The per-shard loop: one thread, one engine partition, one engine
+//! [`Driver`] fed from a channel.
 //!
 //! The driver owns the two decisions that make live runs replayable:
 //!
@@ -10,10 +10,10 @@
 //!   race where a router-side stamp is overtaken by channel delivery.
 //! - **Advance-then-inject.** Before an arrival enters, the engine is
 //!   advanced through every event strictly earlier than its stamp
-//!   ([`LiveEngine::advance_before`]); the pair of those two steps is
+//!   ([`Driver::advance_before`]); the pair of those two steps is
 //!   the canonical injection rule replay re-executes verbatim.
 
-use flexpipe_serving::{Engine, LiveEngine};
+use flexpipe_serving::{Driver, Engine};
 use flexpipe_sim::{SimDuration, SimTime};
 use flexpipe_workload::{Request, RequestId};
 
@@ -55,7 +55,7 @@ pub(crate) fn run_shard(
     pacer: Option<&Pacer>,
     depth: &AtomicUsize,
 ) -> ShardRun {
-    let mut live = LiveEngine::new(engine);
+    let mut live = Driver::new(engine);
     let mut log = Vec::new();
     let mut last = SimTime::ZERO;
     while let Ok(msg) = rx.recv() {

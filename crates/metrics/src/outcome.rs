@@ -128,15 +128,6 @@ impl OutcomeLog {
         d
     }
 
-    /// Prefill latency digest.
-    pub fn prefill_digest(&self) -> Digest {
-        let mut d = Digest::new();
-        for o in &self.outcomes {
-            d.record(o.prefill.as_secs_f64());
-        }
-        d
-    }
-
     /// Latency digest restricted to a completion-time window.
     pub fn latency_digest_in(&self, from: SimTime, to: SimTime) -> Digest {
         let mut d = Digest::new();

@@ -82,11 +82,6 @@ impl CostModel {
         self.stage_overhead + SimDuration::from_secs_f64(flops_secs.max(weight_read_secs))
     }
 
-    /// Parameter bytes a stage must hold in device memory.
-    pub fn stage_param_bytes(&self, g: &ModelGraph, r: OpRange) -> u64 {
-        g.range_param_bytes(r)
-    }
-
     /// Device memory needed by stage `r` at a given admitted batch size.
     pub fn stage_mem_bytes(&self, g: &ModelGraph, r: OpRange, batch: u32) -> u64 {
         let kv_per_req = g.range_kv_bytes_per_token(r) * u64::from(self.kv_token_budget)
@@ -127,18 +122,6 @@ impl CostModel {
         let bytes = g.range_param_bytes(r) as f64;
         let gain = (self.load_ref_bytes as f64 / bytes).clamp(1.0, self.load_peak_gain);
         self.load_setup + SimDuration::from_secs_f64(bytes / (bandwidth * gain))
-    }
-
-    /// KV-cache bytes held by stage `r` for `requests` requests with
-    /// `tokens_each` cached tokens each (used to price KV migration).
-    pub fn stage_kv_bytes(
-        &self,
-        g: &ModelGraph,
-        r: OpRange,
-        requests: u32,
-        tokens_each: u32,
-    ) -> u64 {
-        g.range_kv_bytes_per_token(r) * u64::from(requests) * u64::from(tokens_each)
     }
 
     /// An empty memoized Table-2 row cache bound to this cost model's

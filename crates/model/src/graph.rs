@@ -199,16 +199,6 @@ impl ModelGraph {
             .len() as u32
     }
 
-    /// The operator ids of every attention op in a range (used by KV
-    /// migration planning).
-    pub fn attention_ops_in(&self, r: OpRange) -> Vec<OpId> {
-        self.ops[r.start as usize..r.end as usize]
-            .iter()
-            .filter(|o| o.kind.holds_kv())
-            .map(|o| o.id)
-            .collect()
-    }
-
     /// Validates structural invariants; returns a description on failure.
     pub fn validate(&self) -> Result<(), String> {
         if self.ops.is_empty() {

@@ -1,7 +1,5 @@
 //! Offline trace consumption: JSONL parsing and run summaries.
 
-use flexpipe_metrics::Table;
-
 use crate::event::TraceRecord;
 use crate::registry::EventRegistry;
 
@@ -82,15 +80,6 @@ impl TraceSummary {
         );
         out.push_str(&self.registry.table("events by kind").render());
         out
-    }
-
-    /// Renders per-kind counts as CSV (kind,count), kinds sorted.
-    pub fn counts_table(&self) -> Table {
-        let mut t = Table::new("event counts", &["event", "count"]);
-        for (kind, st) in self.registry.kinds() {
-            t.row(vec![kind.to_string(), st.count.to_string()]);
-        }
-        t
     }
 }
 

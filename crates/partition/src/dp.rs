@@ -72,15 +72,6 @@ impl Partition {
         self.ranges.len() as u32
     }
 
-    /// Maximum stage parameter bytes (peak per-GPU footprint).
-    pub fn max_stage_params(&self) -> u64 {
-        self.stage_costs
-            .iter()
-            .map(|c| c.param_bytes)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Balance ratio: max stage compute / mean stage compute (1.0 = ideal).
     pub fn balance_ratio(&self) -> f64 {
         if self.stage_costs.is_empty() {

@@ -11,7 +11,10 @@
 //!
 //! - `mod.rs` (this file) — the [`Event`] vocabulary, [`Scenario`],
 //!   [`EngineState`] (all mutable state) with its read-side accessors,
-//!   the [`Engine`] event loop and the policy-facing [`Ctx`];
+//!   [`Engine`] dispatch and the policy-facing [`Ctx`];
+//! - `driver` — [`Driver`], the one event loop: offline runs, schedule
+//!   exploration and live arrival injection all fire events through it
+//!   under one firing and truncation rule;
 //! - `lifecycle` — spawn / ready / retire / release, the inflight
 //!   refactor state machine (prepare → pause → commit/abort) and the
 //!   host-memory parameter cache;
@@ -32,14 +35,21 @@
 //! validators on every consultation — the mode changes wall-clock only.
 
 mod disruption;
+mod driver;
 mod exec;
 pub mod indexes;
 mod lifecycle;
-mod live;
-mod stepped;
 
-pub use live::LiveEngine;
-pub use stepped::SteppedEngine;
+pub use driver::Driver;
+
+/// [`Driver`] under its former schedule-exploration name, which the
+/// repository benchmark (`benchmark/`) still uses. New code names
+/// [`Driver`].
+pub type SteppedEngine = Driver;
+
+/// [`Driver`] under its former live-injection name, which the repository
+/// benchmark (`benchmark/`) still uses. New code names [`Driver`].
+pub type LiveEngine = Driver;
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -53,7 +63,7 @@ use flexpipe_metrics::{DisruptionLedger, OutcomeLog, Timeline, UtilizationLedger
 use flexpipe_model::{CostModel, MaxBatchTable, ModelGraph, OpRange};
 use flexpipe_obs::{Profiler, TraceEvent, TraceMode, TraceRecorder};
 use flexpipe_partition::GranularityLattice;
-use flexpipe_sim::{EventQueue, RunOutcome, SimRng, SimTime, World};
+use flexpipe_sim::{EventQueue, SimRng, SimTime};
 use flexpipe_workload::{CvEstimator, Request, RequestId, Workload};
 
 use crate::admission::{AdmissionIndex, EngineMode};
@@ -405,8 +415,6 @@ impl EngineState {
 pub struct Engine {
     pub(super) state: EngineState,
     pub(super) policy: Option<Box<dyn ControlPolicy>>,
-    pub(super) events_seen: u64,
-    pub(super) truncated: bool,
     /// Wall-clock self-time profiler around event dispatch and
     /// `ControlPolicy::on_tick`. Lives on the engine, not the state:
     /// wall time is not part of the simulated world and must never
@@ -625,8 +633,6 @@ impl Engine {
         Engine {
             state,
             policy: Some(policy),
-            events_seen: 0,
-            truncated: false,
             profiler: Profiler::default(),
         }
     }
@@ -667,19 +673,12 @@ impl Engine {
     /// Runs the scenario and returns the report together with the trace
     /// and profiler side channels (see [`Engine::set_trace`] /
     /// [`Engine::set_profiler`]).
-    pub fn run_observed(mut self) -> ObservedRun {
-        let mut queue: EventQueue<Event> = EventQueue::new();
-        self.prime(&mut queue);
-        let horizon = self.state.horizon;
-        let max_events = self.state.config.max_events;
-        let (outcome, steps) = flexpipe_sim::run(&mut self, &mut queue, horizon, max_events);
-        self.finish_observed(outcome, steps)
+    pub fn run_observed(self) -> ObservedRun {
+        Driver::new(self).finish()
     }
 
-    /// Seeds the event queue and runs policy initialisation — everything
-    /// `run_observed` does before entering the event loop. Shared with the
-    /// step-controllable driver ([`crate::SteppedEngine`]) so both paths
-    /// start from bit-identical state.
+    /// Seeds the event queue and runs policy initialisation: everything
+    /// a run does before its first event fires.
     pub(crate) fn prime(&mut self, queue: &mut EventQueue<Event>) {
         // Policy initialisation (deploys the initial configuration).
         let timer = self.profiler.start();
@@ -711,18 +710,12 @@ impl Engine {
         }
     }
 
-    /// Folds a finished event loop into the observed-run artifacts — the
-    /// tail of `run_observed`, shared with [`crate::SteppedEngine`].
-    pub(crate) fn finish_observed(mut self, outcome: RunOutcome, steps: u64) -> ObservedRun {
+    /// Folds a finished event loop into the observed-run artifacts.
+    pub(crate) fn finish_observed(mut self, truncated: bool, events: u64) -> ObservedRun {
         let horizon = self.state.horizon;
-        self.events_seen = steps;
-        // The step budget is a first-class watchdog, not an assertion: a
-        // fleet sweep must be able to bound runaway cells and report them
-        // as truncated rather than abort the whole grid.
-        self.truncated = matches!(outcome, RunOutcome::StepBudgetExhausted);
         let trace = std::mem::take(&mut self.state.obs);
         let profiler = std::mem::take(&mut self.profiler);
-        let report = self.into_report(horizon);
+        let report = self.into_report(horizon, truncated, events);
         ObservedRun {
             report,
             trace,
@@ -730,8 +723,7 @@ impl Engine {
         }
     }
 
-    fn into_report(self, horizon: SimTime) -> RunReport {
-        let truncated = self.truncated;
+    fn into_report(self, horizon: SimTime, truncated: bool, events: u64) -> RunReport {
         let mut st = self.state;
         st.disruptions.finalize(horizon);
         let span = horizon.as_secs_f64();
@@ -766,24 +758,28 @@ impl Engine {
             warm_loads: st.warm_loads,
             cold_loads: st.cold_loads,
             disruptions: st.disruptions.into_stats(),
-            events: self.events_seen,
+            events,
             truncated,
         }
     }
 }
 
-impl World for Engine {
-    type Event = Event;
-
-    fn handle(&mut self, now: SimTime, event: Event, queue: &mut EventQueue<Event>) {
+impl Engine {
+    /// Fires one event at `now` under the dispatch profiler and returns
+    /// its kind.
+    pub(super) fn handle(
+        &mut self,
+        now: SimTime,
+        event: Event,
+        queue: &mut EventQueue<Event>,
+    ) -> &'static str {
         let kind = event.kind();
         let timer = self.profiler.start();
         self.dispatch(now, event, queue);
         self.profiler.stop(kind, timer);
+        kind
     }
-}
 
-impl Engine {
     fn dispatch(&mut self, now: SimTime, event: Event, queue: &mut EventQueue<Event>) {
         match event {
             Event::Arrival(i) => {

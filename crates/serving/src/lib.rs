@@ -25,7 +25,7 @@ pub use admission::{churn, AdmissionIndex, AdmissionMode, EngineMode};
 pub use config::EngineConfig;
 pub use engine::indexes::{decode_slot_churn, server_load_churn, DecodeSlotTracker};
 pub use engine::{
-    Ctx, Engine, EngineState, Event, LiveEngine, ObservedRun, Scenario, SteppedEngine,
+    Ctx, Driver, Engine, EngineState, Event, LiveEngine, ObservedRun, Scenario, SteppedEngine,
 };
 pub use flexpipe_obs::{Profiler, TraceEvent, TraceMode, TraceRecord, TraceRecorder};
 pub use instance::{

@@ -65,15 +65,6 @@ impl RunReport {
         }
     }
 
-    /// Goodput normalised by the run's offered load.
-    pub fn goodput_rate_of_offered(&self) -> f64 {
-        if self.arrived == 0 {
-            0.0
-        } else {
-            self.summary.within_slo as f64 / self.arrived as f64
-        }
-    }
-
     /// Mean GPU utilisation of held GPUs over the run.
     pub fn held_utilization(&self) -> f64 {
         self.ledger

@@ -6,12 +6,14 @@ use std::sync::Arc;
 
 use flexpipe_cluster::{BackgroundProfile, ClusterSpec, TierConfig};
 use flexpipe_model::{zoo, CostModel};
+use flexpipe_obs::{TraceEvent, TraceMode, TraceRecord};
 use flexpipe_partition::{GranularityLattice, PartitionParams, Partitioner};
 use flexpipe_serving::{
-    ControlPolicy, Ctx, Engine, EngineConfig, Placement, RefactorPlan, Scenario, StageAssign,
+    ControlPolicy, Ctx, Driver, Engine, EngineConfig, Placement, RefactorPlan, RunReport, Scenario,
+    StageAssign,
 };
 use flexpipe_sim::{SimDuration, SimTime};
-use flexpipe_workload::{ArrivalSpec, LengthProfile, WorkloadSpec};
+use flexpipe_workload::{ArrivalSpec, LengthProfile, Request, RequestId, Workload, WorkloadSpec};
 
 /// Deploys `replicas` instances at a fixed granularity and never adapts.
 struct StaticPolicy {
@@ -1028,4 +1030,165 @@ fn batch_scaling_compresses_hop_traffic() {
         scaled.summary.mean_communication,
         linear.summary.mean_communication
     );
+}
+
+/// A 1×1 static engine over `sc`, armed with full tracing.
+fn one_static(sc: Scenario) -> Engine {
+    let (graph, lattice) = llama_artifacts();
+    let policy = Box::new(StaticPolicy {
+        stages: 1,
+        replicas: 1,
+    });
+    let mut engine = Engine::new(sc, graph, lattice, policy);
+    engine.set_trace(TraceMode::Full);
+    engine
+}
+
+/// `sc` run through the live path: an empty workload, with every request
+/// of `sc.workload` injected by `advance_before` + `push_arrival`.
+fn run_live(mut sc: Scenario) -> (RunReport, Vec<TraceRecord>) {
+    let requests = std::mem::take(&mut sc.workload).requests;
+    let mut driver = Driver::new(one_static(sc));
+    for req in requests {
+        driver.advance_before(req.arrival);
+        driver.push_arrival(req);
+    }
+    let run = driver.finish();
+    (run.report, run.trace.records().cloned().collect())
+}
+
+fn budgeted(max_events: u64) -> Scenario {
+    let mut sc = scenario(1.0, 2.0, 30.0, 7);
+    sc.config.max_events = max_events;
+    sc
+}
+
+/// `truncated` holds iff the run fired exactly `max_events` events — on
+/// the offline, stepped and live paths alike, including a budget that
+/// the run meets exactly with nothing left to fire.
+#[test]
+fn truncated_iff_the_run_fired_max_events_on_every_path() {
+    let offline = |budget| one_static(budgeted(budget)).run();
+    let stepped = |budget| {
+        let mut driver = Driver::new(one_static(budgeted(budget)));
+        while driver.step(0).is_some() {}
+        driver.finish().report
+    };
+    let live = |budget| run_live(budgeted(budget)).0;
+    let paths: [(&str, &dyn Fn(u64) -> RunReport); 3] = [
+        ("offline", &offline),
+        ("stepped", &stepped),
+        ("live", &live),
+    ];
+    for (name, run) in paths {
+        let full = run(u64::MAX);
+        assert!(!full.truncated, "{name}: unbounded run truncated");
+        let events = full.events;
+        assert!(events > 100, "{name}: only {events} events");
+        let exact = run(events);
+        assert_eq!(exact.events, events, "{name}");
+        assert!(exact.truncated, "{name}: a run at its budget is truncated");
+        let spare = run(events + 1);
+        assert_eq!(spare.events, events, "{name}");
+        assert!(!spare.truncated, "{name}: a budget left unspent is not");
+    }
+}
+
+/// No event due after the horizon fires, not even an arrival pushed past it.
+#[test]
+fn driver_never_fires_past_the_horizon() {
+    let mut sc = scenario(1.0, 2.0, 5.0, 7);
+    let horizon = sc.horizon;
+    let last = sc.workload.len() as u64;
+    sc.workload.requests.push(Request {
+        id: RequestId(last),
+        arrival: horizon + SimDuration::from_secs(1),
+        prompt_tokens: 256,
+        output_tokens: 16,
+        slo: SimDuration::from_secs(5),
+    });
+    let (report, trace) = run_live(sc);
+    assert_eq!(
+        report.arrived as u64,
+        last + 1,
+        "the late arrival is accepted"
+    );
+    assert!(!report.truncated);
+    let horizon = horizon.as_secs_f64();
+    assert!(
+        trace.iter().all(|r| r.at <= horizon),
+        "an event fired past the horizon"
+    );
+    assert!(!trace
+        .iter()
+        .any(|r| r.event == TraceEvent::RequestArrival { req: last }));
+}
+
+/// `advance_before(t)` leaves an event due exactly at `t` queued, so an
+/// arrival stamped `t` fires after it; equal-stamp pushes then schedule
+/// each arrival exactly once (the arrival chain does the rest).
+#[test]
+fn advance_before_is_strict_and_equal_stamps_arrive_once() {
+    let mut sc = scenario(1.0, 2.0, 5.0, 7);
+    sc.workload = Workload::default();
+    // Churn and a control tick are both due at `tick`.
+    let tick = SimTime::ZERO + sc.config.churn_step;
+    let mut driver = Driver::new(one_static(sc));
+    driver.advance_before(tick);
+    let due: Vec<&str> = driver.batch().iter().map(|e| e.kind()).collect();
+    assert!(
+        due.contains(&"churn") && due.contains(&"control_tick"),
+        "the events due at t must still be queued: {due:?}"
+    );
+    for id in 0..5 {
+        driver.advance_before(tick);
+        driver.push_arrival(Request {
+            id: RequestId(id),
+            arrival: tick,
+            prompt_tokens: 256,
+            output_tokens: 16,
+            slo: SimDuration::from_secs(5),
+        });
+    }
+    assert_eq!(driver.arrivals(), 5);
+    let trace: Vec<TraceRecord> = driver.finish().trace.records().cloned().collect();
+    let at_tick: Vec<&TraceEvent> = trace
+        .iter()
+        .filter(|r| r.at == tick.as_secs_f64())
+        .map(|r| &r.event)
+        .collect();
+    assert!(
+        matches!(at_tick.first(), Some(TraceEvent::ControlTick { .. })),
+        "the tick due at t must fire before arrivals stamped t: {at_tick:?}"
+    );
+    let arrivals: Vec<u64> = trace
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::RequestArrival { req } => Some(req),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        arrivals,
+        vec![0, 1, 2, 3, 4],
+        "each arrival fires exactly once"
+    );
+}
+
+/// Once `step` returns `None` the batch is empty, whether the run ended
+/// at its budget or at its horizon.
+#[test]
+fn batch_is_empty_once_step_returns_none() {
+    for budget in [25, u64::MAX] {
+        let mut driver = Driver::new(one_static(budgeted(budget)));
+        let mut steps = 0u64;
+        while driver.step(0).is_some() {
+            steps += 1;
+        }
+        assert!(driver.batch().is_empty(), "budget {budget}");
+        assert_eq!(driver.step(0), None);
+        let report = driver.finish().report;
+        assert_eq!(report.events, steps);
+        assert_eq!(report.truncated, budget == 25);
+    }
 }

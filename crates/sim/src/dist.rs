@@ -6,7 +6,7 @@
 //! Gamma. The paper sweeps CV from 0.1 to 8 (§3.3, §9); CV = 1 degenerates to
 //! a Poisson process.
 
-use rand_distr::{Distribution, Exp, Gamma, LogNormal};
+use rand_distr::{Distribution, Gamma, LogNormal};
 use serde::{Deserialize, Serialize};
 
 use crate::rng::SimRng;
@@ -94,26 +94,6 @@ impl GammaInterarrival {
     /// Draws one inter-arrival gap as fractional seconds.
     pub fn sample_secs(&self, rng: &mut SimRng) -> f64 {
         self.gamma.sample(rng).max(0.0)
-    }
-}
-
-/// Exponential inter-arrival sampler (a Poisson arrival process).
-#[derive(Debug, Clone)]
-pub struct ExpInterarrival {
-    exp: Exp<f64>,
-}
-
-impl ExpInterarrival {
-    /// Builds from an arrival rate in events per second.
-    pub fn from_rate(rate_per_sec: f64) -> Result<Self, BadParams> {
-        Exp::new(rate_per_sec)
-            .map(|exp| ExpInterarrival { exp })
-            .map_err(|e| BadParams(format!("exp({rate_per_sec}): {e}")))
-    }
-
-    /// Draws one inter-arrival gap.
-    pub fn sample(&self, rng: &mut SimRng) -> SimDuration {
-        SimDuration::from_secs_f64(self.exp.sample(rng))
     }
 }
 

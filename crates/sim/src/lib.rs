@@ -15,18 +15,17 @@
 //!
 //! Everything above this crate (cluster, serving engine, FlexPipe itself)
 //! treats it as the substrate that replaces wall-clock time and real
-//! hardware nondeterminism.
+//! hardware nondeterminism. The crate has no run loop of its own: the
+//! one loop that pops the queue is `flexpipe_serving::Driver`.
 
 #![warn(missing_docs)]
 
 pub mod dist;
-pub mod engine;
 pub mod queue;
 pub mod rng;
 pub mod time;
 
-pub use dist::{ExpInterarrival, GammaInterarrival, LogNormalSampler, SampleStats};
-pub use engine::{run, RunOutcome, World};
+pub use dist::{GammaInterarrival, LogNormalSampler, SampleStats};
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

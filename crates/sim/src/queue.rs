@@ -163,28 +163,6 @@ impl<E> EventQueue<E> {
         Some((scheduled.at, scheduled.event))
     }
 
-    /// Pops the next event only if it fires at or before `deadline`.
-    ///
-    /// When the next event is later than `deadline` the clock advances to
-    /// `deadline` and `None` is returned, so callers can run a simulation
-    /// "until t" and leave the remaining events intact.
-    pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        match self.peek_time() {
-            Some(t) if t <= deadline => self.pop(),
-            _ => {
-                if deadline > self.now {
-                    self.now = deadline;
-                }
-                None
-            }
-        }
-    }
-
-    /// Drops all pending events, keeping the clock.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-
     /// The events tied at the earliest firing time, in deterministic
     /// insertion order: index 0 is exactly what [`EventQueue::pop`] would
     /// fire next. Empty when no events are pending.
@@ -286,25 +264,6 @@ mod tests {
         q.pop();
         q.schedule_now(2);
         assert_eq!(q.pop(), Some((SimTime::from_secs(2), 2)));
-    }
-
-    #[test]
-    fn pop_until_respects_deadline() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(1), 'a').unwrap();
-        q.schedule(SimTime::from_secs(10), 'b').unwrap();
-        assert_eq!(
-            q.pop_until(SimTime::from_secs(5)),
-            Some((SimTime::from_secs(1), 'a'))
-        );
-        assert_eq!(q.pop_until(SimTime::from_secs(5)), None);
-        assert_eq!(q.now(), SimTime::from_secs(5));
-        assert_eq!(q.len(), 1);
-        // The remaining event is still there and fires later.
-        assert_eq!(
-            q.pop_until(SimTime::from_secs(20)),
-            Some((SimTime::from_secs(10), 'b'))
-        );
     }
 
     #[test]

@@ -150,11 +150,6 @@ impl SimDuration {
         self.0 as f64 / NANOS_PER_MILLI as f64
     }
 
-    /// Fractional microseconds.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / NANOS_PER_MICRO as f64
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))

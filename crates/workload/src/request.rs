@@ -54,14 +54,6 @@ impl Workload {
         self.requests.is_empty()
     }
 
-    /// Arrival timestamps in seconds.
-    pub fn arrival_secs(&self) -> Vec<f64> {
-        self.requests
-            .iter()
-            .map(|r| r.arrival.as_secs_f64())
-            .collect()
-    }
-
     /// Mean arrival rate over the workload span, requests/second.
     pub fn mean_rate(&self) -> f64 {
         if self.requests.len() < 2 {
