@@ -1036,6 +1036,26 @@ mod tests {
     }
 
     #[test]
+    fn bench_artifact_matches_fleet_bench() {
+        let dir = tmp("benchtwin");
+        let spec = write_campaign(&dir);
+        let campaign = run_campaign(&spec, &dir, &opts(&dir, 2)).unwrap();
+        let bench = crate::parse_bench("bench.json", &tiny_bench_json()).unwrap();
+        let (direct, timings) = crate::run_bench(
+            &bench,
+            &RunOptions {
+                threads: 1,
+                quiet: true,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(campaign.reports[1].to_json(), direct.to_json());
+        assert_eq!(timings.len(), direct.cells.len());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn editing_a_spec_only_recomputes_dirty_cells() {
         let dir = tmp("dirty");
         let spec = write_campaign(&dir);
