@@ -13,19 +13,9 @@
 
 use flexpipe_obs::TraceRecord;
 use flexpipe_serving::ENGINE_SEMANTICS_VERSION;
+use flexpipe_sim::{fnv1a, FNV_OFFSET};
 
 use crate::model::{normalize, project};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// The pinned fingerprint of [`crate::scenarios::CheckScenario::probe`]'s
 /// canonical run. Update this constant **and** bump
@@ -46,17 +36,17 @@ pub fn semantic_fingerprint(records: &[TraceRecord]) -> String {
     let records = normalize(records);
     let proj = project(&records);
     let mut h = FNV_OFFSET;
-    h = fnv(h, &(proj.len() as u64).to_le_bytes());
+    h = fnv1a(h, &(proj.len() as u64).to_le_bytes());
     for (entity, stream) in &proj {
         let label = format!("{entity}");
-        h = fnv(h, &(label.len() as u64).to_le_bytes());
-        h = fnv(h, label.as_bytes());
-        h = fnv(h, &(stream.len() as u64).to_le_bytes());
+        h = fnv1a(h, &(label.len() as u64).to_le_bytes());
+        h = fnv1a(h, label.as_bytes());
+        h = fnv1a(h, &(stream.len() as u64).to_le_bytes());
         for r in stream {
-            h = fnv(h, &r.at.to_bits().to_le_bytes());
+            h = fnv1a(h, &r.at.to_bits().to_le_bytes());
             let ev = serde_json::to_string(&r.event).expect("trace events serialize");
-            h = fnv(h, &(ev.len() as u64).to_le_bytes());
-            h = fnv(h, ev.as_bytes());
+            h = fnv1a(h, &(ev.len() as u64).to_le_bytes());
+            h = fnv1a(h, ev.as_bytes());
         }
     }
     format!("sem-v{ENGINE_SEMANTICS_VERSION}-{h:016x}")

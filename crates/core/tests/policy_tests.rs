@@ -153,36 +153,34 @@ fn flexpipe_beats_static_under_bursts() {
 fn flexpipe_decision_latency_is_fast() {
     // The paper claims < 5 ms decisions for 2-32 stage configurations;
     // our scoring pass over 4 levels must be far below that even in debug
-    // builds.
-    use std::sync::{Arc, Mutex};
-
-    struct Instrumented {
-        inner: FlexPipePolicy,
-        sink: Arc<Mutex<Vec<f64>>>,
-    }
-    impl ControlPolicy for Instrumented {
-        fn name(&self) -> &'static str {
-            "FlexPipe"
-        }
-        fn init(&mut self, ctx: &mut flexpipe_serving::Ctx<'_>) {
-            self.inner.init(ctx)
-        }
-        fn on_tick(&mut self, ctx: &mut flexpipe_serving::Ctx<'_>) {
-            self.inner.on_tick(ctx);
-            *self.sink.lock().unwrap() = self.inner.decision_secs.clone();
-        }
-    }
-
-    let w = workload(2.0, 8.0, 60.0, 31);
-    let sink = Arc::new(Mutex::new(Vec::new()));
-    let policy = Instrumented {
-        inner: FlexPipePolicy::new(flexpipe_cfg()),
-        sink: sink.clone(),
+    // builds. The engine profiler's `policy.on_tick` scope times every
+    // decision.
+    let (graph, lattice) = artifacts();
+    let scenario = Scenario {
+        config: EngineConfig::default(),
+        cluster: ClusterSpec::paper_testbed(),
+        background: BackgroundProfile::testbed_like(),
+        tier: TierConfig::default(),
+        cost: CostModel::default(),
+        workload: workload(2.0, 8.0, 60.0, 31),
+        disruptions: Default::default(),
+        horizon: SimTime::from_secs_f64(100.0),
+        seed: 31,
     };
-    let report = run(w, 60.0, Box::new(policy), 31);
-    assert!(report.completed() > 0);
-    let decisions = sink.lock().unwrap().clone();
-    assert!(!decisions.is_empty());
-    let max = decisions.iter().cloned().fold(0.0, f64::max);
-    assert!(max < 0.005, "slowest decision {max}s");
+    let policy = Box::new(FlexPipePolicy::new(flexpipe_cfg()));
+    let mut engine = Engine::new(scenario, graph, lattice, policy);
+    engine.set_profiler(true);
+    let run = engine.run_observed();
+    assert!(run.report.completed() > 0);
+    let (_, ticks) = run
+        .profiler
+        .scopes()
+        .find(|(name, _)| *name == "policy.on_tick")
+        .expect("on_tick was profiled");
+    assert!(ticks.calls > 0);
+    assert!(
+        ticks.max_secs < 0.005,
+        "slowest decision {}s",
+        ticks.max_secs
+    );
 }

@@ -21,26 +21,23 @@
 //! coordinate must produce identical metrics, which
 //! [`BenchReport::mode_mismatches`] verifies.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use flexpipe_bench::PaperSetup;
-use flexpipe_chaos::DisruptionScript;
 use flexpipe_metrics::{fmt_f, fmt_pct, Table};
 use flexpipe_model::ModelId;
 use flexpipe_serving::{
-    churn, decode_slot_churn, server_load_churn, AdmissionMode, Engine, EngineConfig, EngineMode,
-    Scenario,
+    churn, decode_slot_churn, server_load_churn, AdmissionMode, EngineConfig, EngineMode,
 };
-use flexpipe_sim::{SimDuration, SimRng, SimTime};
-use flexpipe_workload::{check_arrival_budget, ArrivalSpec, LengthProfile, WorkloadSpec};
+use flexpipe_sim::mix64;
+use flexpipe_workload::{check_arrival_budget, LengthProfile};
 use serde::{Deserialize, Serialize};
 
-use crate::report::{summarize_cell, CellMetrics};
-use crate::runner::{
-    effective_threads, failed_cell_metrics, parallel_indexed, FleetError, RunOptions,
+use crate::campaign::{run_single, LoadedSpec, SpecReport};
+use crate::report::CellMetrics;
+use crate::runner::{FleetError, RunOptions};
+use crate::spec::{
+    fmt_axis, BackgroundShape, Cell, ClusterShape, DisruptionShape, PolicySpec, SweepSpec,
 };
-use crate::spec::{fmt_axis, mix64, BackgroundShape, ClusterShape, PolicySpec};
 
 /// A declarative engine-tunable bench: one model, cluster, policy and
 /// arrival CV; four tunable axes (rate × ubatch × prefill cap × admission
@@ -200,6 +197,49 @@ impl BenchSpec {
         ])
     }
 
+    /// What one bench cell runs as: a single-coordinate, undisrupted
+    /// sweep cell plus the engine tunables (ubatch, prefill cap,
+    /// admission batch, mode) as [`EngineConfig`] overrides. The sweep
+    /// builder turns this into exactly the engine the bench describes.
+    pub(crate) fn engine_cell(&self, cell: &BenchCell) -> (SweepSpec, Cell, EngineConfig) {
+        let sweep = SweepSpec {
+            name: self.name.clone(),
+            model: self.model,
+            seed: self.seed,
+            horizon_secs: self.horizon_secs,
+            warmup_secs: self.warmup_secs,
+            slo_secs: self.slo_secs,
+            slo_per_output_token_ms: self.slo_per_output_token_ms,
+            background: self.background,
+            lengths: self.lengths,
+            max_events: self.max_events,
+            cvs: vec![self.cv],
+            rates: vec![cell.rate],
+            clusters: vec![self.cluster.clone()],
+            policies: vec![self.policy.clone()],
+            disruptions: vec![DisruptionShape::None],
+            replicas: 1,
+        };
+        let sweep_cell = Cell {
+            index: cell.index,
+            cv: self.cv,
+            rate: cell.rate,
+            cluster: self.cluster.clone(),
+            policy: self.policy.clone(),
+            disruption: DisruptionShape::None,
+            replica: 0,
+            seed: cell.seed,
+        };
+        let config = EngineConfig {
+            ubatch_size: cell.ubatch_size,
+            prefill_token_cap: cell.prefill_token_cap,
+            prefill_batch: cell.admission_batch,
+            admission: cell.admission,
+            ..EngineConfig::default()
+        };
+        (sweep, sweep_cell, config)
+    }
+
     /// Validates axis sanity.
     pub fn validate(&self) -> Result<(), String> {
         if self.rates.is_empty()
@@ -292,7 +332,8 @@ pub const BENCH_REPORT_VERSION: u32 = 1;
 pub struct BenchTiming {
     /// Cell index ([`BenchCell::index`]).
     pub index: usize,
-    /// Wall-clock seconds the engine run took.
+    /// Wall-clock seconds the cell took in the cell loop: workload
+    /// generation, the engine run and summarising.
     pub wall_secs: f64,
 }
 
@@ -573,80 +614,19 @@ pub fn hot_path_table(rows: &[HotPathRow]) -> Table {
     t
 }
 
-/// Executes one bench cell; returns its deterministic metrics and the
-/// wall-clock the engine run took.
-pub fn run_bench_cell(
-    spec: &BenchSpec,
-    cell: &BenchCell,
-    setup: &PaperSetup,
-) -> (CellMetrics, f64) {
-    let warmup = spec.warmup_secs;
-    let span = warmup + spec.horizon_secs;
-    let workload = WorkloadSpec {
-        arrivals: ArrivalSpec::GammaRenewal {
-            rate: cell.rate,
-            cv: spec.cv,
-        },
-        lengths: spec.lengths,
-        slo: SimDuration::from_secs_f64(spec.slo_secs),
-        slo_per_output_token: SimDuration::from_secs_f64(spec.slo_per_output_token_ms / 1e3),
-        horizon_secs: span,
-    }
-    .generate(&mut SimRng::seed(cell.seed));
-
-    let cut = SimTime::from_secs_f64(warmup);
-    let offered = workload
-        .requests
-        .iter()
-        .filter(|r| r.arrival >= cut)
-        .count();
-
-    let scenario = Scenario {
-        config: EngineConfig {
-            ubatch_size: cell.ubatch_size,
-            prefill_token_cap: cell.prefill_token_cap,
-            prefill_batch: cell.admission_batch,
-            admission: cell.admission,
-            max_events: spec.max_events,
-            ..EngineConfig::default()
-        },
-        cluster: spec.cluster.cluster(),
-        background: spec.background.profile(),
-        tier: Default::default(),
-        cost: setup.cost,
-        workload,
-        disruptions: DisruptionScript::default(),
-        horizon: SimTime::from_secs_f64(span + 30.0),
-        seed: cell.seed,
-    };
-    let policy = spec.policy.build(cell.rate);
-    // Wall-clock brackets the engine run only: workload generation and
-    // metric summarisation are identical across modes and would dilute
-    // the admission-path signal.
-    let started = Instant::now();
-    let report = Engine::new(scenario, setup.graph.clone(), setup.lattice.clone(), policy).run();
-    let wall_secs = started.elapsed().as_secs_f64();
-    (
-        summarize_cell(&report, warmup, spec.horizon_secs, offered),
-        wall_secs,
-    )
-}
-
-/// Runs the full bench grid on the worker pool. The report is
-/// deterministic; the timings are not (and never enter the artifact).
+/// Runs the full bench grid on the worker pool: the one-entry, uncached
+/// case of the campaign cell loop. The report is deterministic; the
+/// timings are not (and never enter the artifact).
 pub fn run_bench(
     spec: &BenchSpec,
     opts: &RunOptions,
 ) -> Result<(BenchReport, Vec<BenchTiming>), FleetError> {
-    spec.validate().map_err(FleetError)?;
-    let cells = spec.expand();
-    let n = cells.len();
-    let started = Instant::now();
+    let entry = LoadedSpec::bench(spec.clone()).map_err(FleetError)?;
     if !opts.quiet {
         eprintln!(
             "bench `{}`: {} cells ({} rates x {} ubatch x {} prefill caps x {} adm batches x {} modes), model {}",
             spec.name,
-            n,
+            entry.cells(),
             spec.rates.len(),
             spec.ubatch_sizes.len(),
             spec.prefill_token_caps.len(),
@@ -655,58 +635,15 @@ pub fn run_bench(
             spec.model.name(),
         );
     }
-    let setup = PaperSetup::for_model(spec.model);
-    let threads = effective_threads(opts.threads, n);
-    let outcomes = parallel_indexed(n, threads, |i| {
-        let cell = &cells[i];
-        // Panic containment, as in the sweep runner: one pathological
-        // tunable combination reports as FAIL instead of tearing down
-        // the grid.
-        let out = match catch_unwind(AssertUnwindSafe(|| run_bench_cell(spec, cell, &setup))) {
-            Ok(out) => out,
-            Err(_) => {
-                eprintln!("bench cell {} PANICKED; recorded as failed", cell.id());
-                (failed_cell_metrics(), 0.0)
-            }
-        };
-        if !opts.quiet {
-            eprintln!(
-                "bench {} done in {:.1}s ({} events{})",
-                cell.id(),
-                out.1,
-                out.0.events,
-                if out.0.truncated { ", TRUNCATED" } else { "" },
-            );
-        }
-        out
-    });
-
-    let mut results = Vec::with_capacity(n);
-    let mut timings = Vec::with_capacity(n);
-    for (cell, (metrics, wall_secs)) in cells.into_iter().zip(outcomes) {
-        timings.push(BenchTiming {
-            index: cell.index,
-            wall_secs,
-        });
-        results.push(BenchCellResult { cell, metrics });
-    }
-    if !opts.quiet {
-        eprintln!(
-            "bench `{}`: {} cells on {} threads in {:.1}s",
-            spec.name,
-            n,
-            threads,
-            started.elapsed().as_secs_f64()
-        );
-    }
-    Ok((
-        BenchReport {
-            version: BENCH_REPORT_VERSION,
-            spec: spec.clone(),
-            cells: results,
-        },
-        timings,
-    ))
+    let (SpecReport::Bench(report), walls) = run_single(entry, opts, "bench") else {
+        unreachable!("a bench entry assembles a bench report")
+    };
+    let timings = walls
+        .into_iter()
+        .enumerate()
+        .map(|(index, wall_secs)| BenchTiming { index, wall_secs })
+        .collect();
+    Ok((report, timings))
 }
 
 #[cfg(test)]

@@ -45,13 +45,11 @@
 //!                             cache is incomplete: the push-button "did
 //!                             the worker fleet finish?" check
 //! flexpipe-fleet worker <campaign.json> [options]
+//!                             drain the campaign's cells into the cache,
+//!                             coordinating with peer workers by claims
 //!     --cache <dir>           override the spec's cache directory
-//!     --shard i/n             deterministic shard mode: take exactly the
-//!                             cells whose key hashes to shard i of n
-//!                             (stateless, no coordination)
-//!     --claim-ttl <dur>       claim mode (default): heartbeat TTL after
-//!                             which a peer's claim is presumed dead and
-//!                             reaped (default 60s)
+//!     --claim-ttl <dur>       heartbeat TTL after which a peer's claim is
+//!                             presumed dead and reaped (default 60s)
 //!     --worker-id <id>        claim identity (default w<pid>; give each
 //!                             machine a stable unique id)
 //!     --max-cells <n>         stop after computing n cells (chunked
@@ -65,10 +63,6 @@
 //!                             virtual-time stamped, byte-stable across
 //!                             thread counts
 //! flexpipe-fleet trace summarize <trace.jsonl>    per-kind counts + occupancy table
-//! flexpipe-fleet trace diff <a.jsonl> <b.jsonl>   semantic first-divergence report
-//!                                                 (per-entity, modulo the commutation
-//!                                                 relation); exit 0 equivalent, 2 diverged
-//!     --textual               compare raw lines instead (the old byte-level diff)
 //! flexpipe-fleet trace profile [--instances N]    engine dispatch self-time table
 //!                                                 (default 1500 instances), incl.
 //!                                                 the policy.init and policy.on_tick
@@ -179,12 +173,12 @@ use flexpipe_gateway::{
     ServeSpec, SpilloverPolicy,
 };
 use flexpipe_metrics::{fmt_f, Table};
-use flexpipe_obs::{first_divergence, parse_jsonl, TraceRecord, TraceSummary};
+use flexpipe_obs::{parse_jsonl, TraceRecord, TraceSummary};
 use flexpipe_serving::{AdmissionMode, ObservedRun, TraceMode, ENGINE_SEMANTICS_VERSION};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  flexpipe-fleet init [spec.json]\n  flexpipe-fleet run <spec.json> [--out report.json] [--threads N] [--quiet] [--verbose] [--gate baseline.json [--tolerance 0.02]]\n  flexpipe-fleet bench init [bench.json]\n  flexpipe-fleet bench <bench.json> [--out report.json] [--threads N] [--rates 100,200] [--hot-paths] [--quiet]\n  flexpipe-fleet campaign init [campaign.json]\n  flexpipe-fleet campaign <campaign.json> [--out-dir DIR] [--cache DIR | --no-cache] [--threads N] [--quiet] [--verbose] [--assert-warm] [--gate DIR [--tolerance 0.02]]\n  flexpipe-fleet campaign assemble <campaign.json> [--cache DIR] [--out-dir DIR]\n  flexpipe-fleet worker <campaign.json> [--cache DIR] [--shard i/n | --claim-ttl DUR] [--worker-id ID] [--max-cells N] [--threads N] [--quiet]\n  flexpipe-fleet trace record <spec.json> [--cell ID] [--mode off|ring[:N]|full] [--out trace.jsonl]\n  flexpipe-fleet trace summarize <trace.jsonl>\n  flexpipe-fleet trace diff <a.jsonl> <b.jsonl> [--textual]\n  flexpipe-fleet trace profile [--instances N] [--min-speedup X] [--json]\n  flexpipe-fleet serve init [serve.json]\n  flexpipe-fleet serve <serve.json> [--out-dir DIR] [--time-scale X | --unpaced] [--spill least-loaded[:T]]\n  flexpipe-fleet serve replay <recording.json> [--out-dir DIR]\n  flexpipe-fleet bench --live [--spec serve.json] [--shards 1,2,4] [--out artifact.json] [--min-scaling 1.6] [--horizon SECS] [--rate R] [--json]\n  flexpipe-fleet check equiv <a.jsonl> <b.jsonl>\n  flexpipe-fleet check equiv --cross-shard [--shards N] [--spec serve.json]\n  flexpipe-fleet check explore [--scenario NAME] [--max-schedules N] [--no-prune]\n  flexpipe-fleet check pin\n  flexpipe-fleet cache stats <dir> [--claim-ttl DUR]\n  flexpipe-fleet cache gc <dir> [--max-age <90s|15m|12h|7d>] [--max-bytes <N>]\n  flexpipe-fleet fingerprint\n  flexpipe-fleet compare <report.json>\n  flexpipe-fleet gate <report.json> --baseline <baseline.json> [--tolerance 0.02] [--strict-cells]"
+        "usage:\n  flexpipe-fleet init [spec.json]\n  flexpipe-fleet run <spec.json> [--out report.json] [--threads N] [--quiet] [--verbose] [--gate baseline.json [--tolerance 0.02]]\n  flexpipe-fleet bench init [bench.json]\n  flexpipe-fleet bench <bench.json> [--out report.json] [--threads N] [--rates 100,200] [--hot-paths] [--quiet]\n  flexpipe-fleet campaign init [campaign.json]\n  flexpipe-fleet campaign <campaign.json> [--out-dir DIR] [--cache DIR | --no-cache] [--threads N] [--quiet] [--verbose] [--assert-warm] [--gate DIR [--tolerance 0.02]]\n  flexpipe-fleet campaign assemble <campaign.json> [--cache DIR] [--out-dir DIR]\n  flexpipe-fleet worker <campaign.json> [--cache DIR] [--claim-ttl DUR] [--worker-id ID] [--max-cells N] [--threads N] [--quiet]\n  flexpipe-fleet trace record <spec.json> [--cell ID] [--mode off|ring[:N]|full] [--out trace.jsonl]\n  flexpipe-fleet trace summarize <trace.jsonl>\n  flexpipe-fleet trace profile [--instances N] [--min-speedup X] [--json]\n  flexpipe-fleet serve init [serve.json]\n  flexpipe-fleet serve <serve.json> [--out-dir DIR] [--time-scale X | --unpaced] [--spill least-loaded[:T]]\n  flexpipe-fleet serve replay <recording.json> [--out-dir DIR]\n  flexpipe-fleet bench --live [--spec serve.json] [--shards 1,2,4] [--out artifact.json] [--min-scaling 1.6] [--horizon SECS] [--rate R] [--json]\n  flexpipe-fleet check equiv <a.jsonl> <b.jsonl>\n  flexpipe-fleet check equiv --cross-shard [--shards N] [--spec serve.json]\n  flexpipe-fleet check explore [--scenario NAME] [--max-schedules N] [--no-prune]\n  flexpipe-fleet check pin\n  flexpipe-fleet cache stats <dir> [--claim-ttl DUR]\n  flexpipe-fleet cache gc <dir> [--max-age <90s|15m|12h|7d>] [--max-bytes <N>]\n  flexpipe-fleet fingerprint\n  flexpipe-fleet compare <report.json>\n  flexpipe-fleet gate <report.json> --baseline <baseline.json> [--tolerance 0.02] [--strict-cells]"
     );
     ExitCode::from(1)
 }
@@ -964,21 +958,6 @@ fn cmd_campaign_assemble(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
 /// `fleet worker`: one distributed campaign worker process.
 fn cmd_worker(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
     let cache_override = take_flag_value(&mut args, "--cache")?;
-    let shard = match take_flag_value(&mut args, "--shard")? {
-        None => None,
-        Some(v) => {
-            let parsed = v
-                .split_once('/')
-                .and_then(|(i, n)| Some((i.parse::<usize>().ok()?, n.parse::<usize>().ok()?)));
-            match parsed {
-                Some((i, n)) if n > 0 && i < n => Some((i, n)),
-                _ => {
-                    eprintln!("--shard needs i/n with 0 <= i < n (e.g. 0/3), got `{v}`");
-                    return Err(ExitCode::from(1));
-                }
-            }
-        }
-    };
     let claim_ttl = match take_flag_value(&mut args, "--claim-ttl")? {
         Some(v) => flexpipe_fleet::cache::parse_duration(&v).map_err(|e| {
             eprintln!("{e}");
@@ -1006,7 +985,6 @@ fn cmd_worker(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
             quiet,
             verbose,
         },
-        shard,
         claim_ttl,
         max_cells,
         ..Default::default()
@@ -1088,38 +1066,6 @@ fn cmd_trace(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
             let records = load_trace(path)?;
             println!("{}", TraceSummary::from_records(&records).render(path));
             Ok(ExitCode::SUCCESS)
-        }
-        "diff" => {
-            let textual = take_flag(&mut args, "--textual");
-            let [a, b] = args.as_slice() else {
-                return Err(usage());
-            };
-            if textual {
-                // The pre-checker byte-level comparison: line-exact, no
-                // commutation relation. Useful when the question is "are
-                // these files identical", not "do they mean the same".
-                let left = read(a)?;
-                let right = read(b)?;
-                return match first_divergence(&left, &right) {
-                    None => {
-                        println!("traces identical ({} records)", left.lines().count());
-                        Ok(ExitCode::SUCCESS)
-                    }
-                    Some(d) => {
-                        print!("{}", d.render(a, b));
-                        Ok(ExitCode::from(2))
-                    }
-                };
-            }
-            let left = load_trace(a)?;
-            let right = load_trace(b)?;
-            let report = check_equiv(&left, &right);
-            print!("{}", report.render(a, b));
-            Ok(if report.equivalent() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(2)
-            })
         }
         "profile" => {
             let instances =
@@ -1232,7 +1178,7 @@ fn cmd_trace(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
             })
         }
         other => {
-            eprintln!("unknown trace verb `{other}` (expected record, summarize, diff or profile)");
+            eprintln!("unknown trace verb `{other}` (expected record, summarize or profile)");
             Err(usage())
         }
     }
@@ -1428,7 +1374,7 @@ fn cmd_cache(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
                 eprintln!("cannot open cache {dir}: {e}");
                 ExitCode::from(1)
             })?;
-            let s = cache.stats_with_ttl(claim_ttl).map_err(|e| {
+            let s = cache.stats(claim_ttl).map_err(|e| {
                 eprintln!("cannot scan cache {dir}: {e}");
                 ExitCode::from(1)
             })?;
@@ -1473,7 +1419,7 @@ fn cmd_cache(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
                 eprintln!("cannot open cache {dir}: {e}");
                 ExitCode::from(1)
             })?;
-            let out = cache.gc_bounded(max_age, max_bytes).map_err(|e| {
+            let out = cache.gc(max_age, max_bytes).map_err(|e| {
                 eprintln!("cache gc failed in {dir}: {e}");
                 ExitCode::from(1)
             })?;

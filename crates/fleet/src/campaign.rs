@@ -1,5 +1,6 @@
 //! `fleet campaign`: resumable multi-spec campaigns over the
-//! content-addressed per-cell cache.
+//! content-addressed per-cell cache — and the one cell run loop behind
+//! every fleet command that executes cells.
 //!
 //! A [`CampaignSpec`] (JSON, like [`SweepSpec`]) lists sweep
 //! and bench spec files plus a shared cache directory. Running it expands
@@ -13,28 +14,36 @@
 //! half-way — at any thread count**. That is the property CI's cold/warm
 //! `cmp` steps and the resume integration tests pin down.
 //!
-//! Each entry's artifact is exactly what `fleet run` / `fleet bench`
-//! would have produced for that spec (same bytes), so `fleet gate` and
-//! `fleet compare` keep working on campaign outputs unchanged. The
-//! campaign additionally writes a `campaign.json` manifest recording
-//! every cell's content key under the engine-fingerprint salt.
+//! A [`CampaignPlan`] is the only way a cell is executed: `fleet run` and
+//! `fleet bench` build a one-entry plan from their in-memory spec and run
+//! it uncached, `fleet campaign` runs the whole plan with the cache on or
+//! off, and `fleet worker` runs it in claim-coordinated passes — all
+//! through the same loop, engine builder and panic containment. So each
+//! entry's campaign artifact is exactly what `fleet run` / `fleet bench`
+//! produce for that spec (same bytes), and `fleet gate` and `fleet
+//! compare` work on campaign outputs unchanged. The campaign additionally
+//! writes a `campaign.json` manifest recording every cell's content key
+//! under the engine-fingerprint salt.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use flexpipe_bench::PaperSetup;
 use flexpipe_model::ModelId;
 use serde::{Deserialize, Serialize};
 
-use crate::bench::{run_bench_cell, BenchCell, BenchCellResult, BenchReport, BENCH_REPORT_VERSION};
+use crate::bench::{BenchCell, BenchCellResult, BenchReport, BENCH_REPORT_VERSION};
 use crate::cache::{cache_salt, cell_key, CellCache};
 use crate::report::{CellMetrics, CellResult, FleetReport};
 use crate::runner::{
-    effective_threads, failed_cell_metrics, parallel_indexed, run_cell, FleetError, RunOptions,
+    effective_threads, failed_cell_metrics, parallel_indexed, run_cell, run_cell_with, FleetError,
+    RunOptions,
 };
 use crate::spec::{Cell, SweepSpec};
+use crate::worker::Claims;
 use crate::BenchSpec;
 
 /// Campaign manifest format version.
@@ -136,6 +145,21 @@ pub enum LoadedSpec {
 }
 
 impl LoadedSpec {
+    /// Validates and expands a sweep. The error is the bare validation
+    /// message; a campaign prefixes it with the entry's path.
+    pub fn sweep(spec: SweepSpec) -> Result<LoadedSpec, String> {
+        spec.validate()?;
+        let cells = spec.expand();
+        Ok(LoadedSpec::Sweep(spec, cells))
+    }
+
+    /// Validates and expands a bench (see [`LoadedSpec::sweep`]).
+    pub fn bench(spec: BenchSpec) -> Result<LoadedSpec, String> {
+        spec.validate()?;
+        let cells = spec.expand();
+        Ok(LoadedSpec::Bench(spec, cells))
+    }
+
     /// The spec's own name (artifact file stem).
     pub fn name(&self) -> &str {
         match self {
@@ -158,6 +182,20 @@ impl LoadedSpec {
             LoadedSpec::Bench(s, _) => s.model,
         }
     }
+
+    fn cell_id(&self, ci: usize) -> String {
+        match self {
+            LoadedSpec::Sweep(_, cells) => cells[ci].id(),
+            LoadedSpec::Bench(_, cells) => cells[ci].id(),
+        }
+    }
+
+    fn cell_key(&self, ci: usize) -> String {
+        match self {
+            LoadedSpec::Sweep(s, cells) => cell_key(&s.cell_semantics(&cells[ci])),
+            LoadedSpec::Bench(s, cells) => cell_key(&s.cell_semantics(&cells[ci])),
+        }
+    }
 }
 
 /// Loads, validates and expands every entry of `spec`, resolving paths
@@ -172,21 +210,10 @@ pub fn load_entries(spec: &CampaignSpec, base_dir: &Path) -> Result<Vec<LoadedSp
             .map_err(|err| FleetError(format!("cannot read {}: {err}", path.display())))?;
         let path_str = path.to_string_lossy().to_string();
         let entry = match e.kind {
-            EntryKind::Sweep => {
-                let s = crate::parse_spec(&path_str, &text)?;
-                s.validate()
-                    .map_err(|err| FleetError(format!("{}: {err}", e.path)))?;
-                let cells = s.expand();
-                LoadedSpec::Sweep(s, cells)
-            }
-            EntryKind::Bench => {
-                let s = crate::parse_bench(&path_str, &text)?;
-                s.validate()
-                    .map_err(|err| FleetError(format!("{}: {err}", e.path)))?;
-                let cells = s.expand();
-                LoadedSpec::Bench(s, cells)
-            }
-        };
+            EntryKind::Sweep => LoadedSpec::sweep(crate::parse_spec(&path_str, &text)?),
+            EntryKind::Bench => LoadedSpec::bench(crate::parse_bench(&path_str, &text)?),
+        }
+        .map_err(|err| FleetError(format!("{}: {err}", e.path)))?;
         if !names.insert(entry.name().to_string()) {
             return Err(FleetError(format!(
                 "two campaign entries share the spec name `{}` (their artifacts would collide)",
@@ -200,20 +227,25 @@ pub fn load_entries(spec: &CampaignSpec, base_dir: &Path) -> Result<Vec<LoadedSp
 
 /// The expanded execution plan of a campaign: every entry loaded and
 /// validated, every cell content-keyed, and the flat job list. This is
-/// the shared substrate of `fleet campaign` (one process), `fleet
-/// worker` (N processes against a shared cache), and `fleet campaign
-/// assemble` (cache-only artifact assembly): all three derive the same
-/// plan from the same campaign file, which is what lets them cooperate
-/// with no coordination channel beyond the cache itself.
-#[derive(Debug, Clone)]
+/// the shared substrate of `fleet run` and `fleet bench` (a one-entry
+/// plan), `fleet campaign` (one process), `fleet worker` (N processes
+/// against a shared cache), and `fleet campaign assemble` (cache-only
+/// artifact assembly): all derive the same plan from the same spec,
+/// which is what lets them cooperate with no coordination channel beyond
+/// the cache itself.
 pub struct CampaignPlan {
     /// Loaded, validated, expanded entries, in campaign order.
     pub entries: Vec<LoadedSpec>,
     /// Content keys under the current salt, parallel to each entry's
     /// cell grid.
     pub keys: Vec<Vec<String>>,
-    /// The flat job list: `(entry index, cell index)` across every grid.
+    /// The flat job list: `(entry index, cell index)` across every grid,
+    /// entry by entry.
     pub jobs: Vec<(usize, usize)>,
+    /// Shared model artefacts (graph + lattice), one per distinct model,
+    /// built by the first cell that computes — lattice construction costs
+    /// more than a short cell run, and a fully cached plan never needs it.
+    setups: OnceLock<Vec<(ModelId, PaperSetup)>>,
 }
 
 /// A borrowed view of one planned cell job.
@@ -231,35 +263,64 @@ pub struct CellJob<'a> {
     pub key: &'a str,
 }
 
+impl CellJob<'_> {
+    fn timing(self, cache_hit: bool, wall_secs: f64, metrics: &CellMetrics) -> CellTiming {
+        CellTiming {
+            entry: self.entry_name.to_string(),
+            id: self.id,
+            cache_hit,
+            wall_ms: wall_secs * 1e3,
+            truncated: metrics.truncated,
+        }
+    }
+}
+
+/// How one job of the cell loop ended.
+pub(crate) enum Ran {
+    /// Served from the cache.
+    Hit(CellMetrics),
+    /// Computed here; the flag says whether the cache stored the result.
+    Computed(CellMetrics, bool),
+    /// Left for a later pass by the claim protocol: a peer holds the
+    /// cell, or this worker reached its compute cap.
+    Deferred,
+}
+
+impl Ran {
+    fn metrics(self) -> CellMetrics {
+        match self {
+            Ran::Hit(m) | Ran::Computed(m, _) => m,
+            Ran::Deferred => unreachable!("only a claiming worker defers cells"),
+        }
+    }
+}
+
 impl CampaignPlan {
-    /// Loads and expands `spec` into its full plan. Keys are computed
-    /// unconditionally — the manifest records them even when the cache
-    /// is disabled.
+    /// Loads and expands `spec` into its full plan.
     pub fn load(spec: &CampaignSpec, base_dir: &Path) -> Result<CampaignPlan, FleetError> {
-        let entries = load_entries(spec, base_dir)?;
-        let keys: Vec<Vec<String>> = entries
+        Ok(CampaignPlan::new(load_entries(spec, base_dir)?))
+    }
+
+    /// The plan of already loaded entries: one in-memory entry for `fleet
+    /// run` / `fleet bench`, every campaign entry for [`CampaignPlan::load`].
+    /// Keys are computed unconditionally — the manifest records them even
+    /// when the cache is disabled.
+    pub fn new(entries: Vec<LoadedSpec>) -> CampaignPlan {
+        let keys = entries
             .iter()
-            .map(|e| match e {
-                LoadedSpec::Sweep(s, cells) => cells
-                    .iter()
-                    .map(|c| cell_key(&s.cell_semantics(c)))
-                    .collect(),
-                LoadedSpec::Bench(s, cells) => cells
-                    .iter()
-                    .map(|c| cell_key(&s.cell_semantics(c)))
-                    .collect(),
-            })
+            .map(|e| (0..e.cells()).map(|ci| e.cell_key(ci)).collect())
             .collect();
-        let jobs: Vec<(usize, usize)> = entries
+        let jobs = entries
             .iter()
             .enumerate()
             .flat_map(|(ei, e)| (0..e.cells()).map(move |ci| (ei, ci)))
             .collect();
-        Ok(CampaignPlan {
+        CampaignPlan {
             entries,
             keys,
             jobs,
-        })
+            setups: OnceLock::new(),
+        }
     }
 
     /// Total cell count across all entries.
@@ -271,57 +332,249 @@ impl CampaignPlan {
     pub fn job(&self, i: usize) -> CellJob<'_> {
         let (ei, ci) = self.jobs[i];
         let entry = &self.entries[ei];
-        let (kind, id, budget) = match entry {
-            LoadedSpec::Sweep(s, cells) => ("sweep", cells[ci].id(), s.max_events),
-            LoadedSpec::Bench(s, cells) => ("bench", cells[ci].id(), s.max_events),
+        let (kind, budget) = match entry {
+            LoadedSpec::Sweep(s, _) => (EntryKind::Sweep, s.max_events),
+            LoadedSpec::Bench(s, _) => (EntryKind::Bench, s.max_events),
         };
         CellJob {
             entry_name: entry.name(),
-            kind,
-            id,
+            kind: kind.label(),
+            id: entry.cell_id(ci),
             budget,
             key: &self.keys[ei][ci],
         }
     }
 
-    /// Builds the shared model artefacts, one per distinct model across
-    /// all entries.
-    pub fn setups(&self) -> Vec<(ModelId, PaperSetup)> {
-        let mut setups: Vec<(ModelId, PaperSetup)> = Vec::new();
-        for e in &self.entries {
-            if !setups.iter().any(|(m, _)| *m == e.model()) {
-                setups.push((e.model(), PaperSetup::for_model(e.model())));
-            }
-        }
-        setups
-    }
-
     /// Executes flat job `i` with panic containment: a panicking cell
     /// becomes a failed-cell metrics record (never cached, visible in
-    /// the artifact) instead of taking down the worker.
-    pub fn compute(&self, i: usize, setups: &[(ModelId, PaperSetup)]) -> CellMetrics {
+    /// the artifact) instead of taking down the worker. Bench cells run
+    /// through the sweep engine builder with their tunables as engine
+    /// config overrides.
+    pub fn compute(&self, i: usize) -> CellMetrics {
         let (ei, ci) = self.jobs[i];
         let entry = &self.entries[ei];
+        let setups = self.setups.get_or_init(|| {
+            let mut setups: Vec<(ModelId, PaperSetup)> = Vec::new();
+            for e in &self.entries {
+                if !setups.iter().any(|(m, _)| *m == e.model()) {
+                    setups.push((e.model(), PaperSetup::for_model(e.model())));
+                }
+            }
+            setups
+        });
         let setup = setups
             .iter()
             .find(|(m, _)| *m == entry.model())
             .map(|(_, s)| s)
-            .expect("setup prebuilt for every model in the plan");
+            .expect("setup built for every model in the plan");
         match catch_unwind(AssertUnwindSafe(|| match entry {
             LoadedSpec::Sweep(s, cells) => run_cell(s, &cells[ci], setup),
-            LoadedSpec::Bench(s, cells) => run_bench_cell(s, &cells[ci], setup).0,
+            LoadedSpec::Bench(s, cells) => {
+                let (sweep, cell, config) = s.engine_cell(&cells[ci]);
+                run_cell_with(&sweep, &cell, setup, config)
+            }
         })) {
             Ok(m) => m,
             Err(_) => {
                 eprintln!(
-                    "campaign cell {}:{} PANICKED; recorded as failed",
+                    "cell {}:{} PANICKED; recorded as failed",
                     entry.name(),
-                    self.job(i).id
+                    entry.cell_id(ci)
                 );
                 failed_cell_metrics()
             }
         }
     }
+
+    /// The one cell run loop: executes the flat jobs `jobs` on the worker
+    /// pool and returns, in `jobs` order, how each ended plus its wall
+    /// seconds (cache lookup, workload generation, engine run,
+    /// summarising, store). A cell is served from `cache` when it holds a
+    /// budget-fit entry; otherwise it computes and its complete result is
+    /// stored. With `claims` (`fleet worker`) a miss must first be
+    /// claimed, and is re-probed after the claim in case a peer finished
+    /// it meanwhile. Progress goes to stderr under `label`.
+    pub(crate) fn execute(
+        &self,
+        jobs: &[usize],
+        cache: Option<&CellCache>,
+        claims: Option<&Claims<'_>>,
+        run: &RunOptions,
+        label: &str,
+    ) -> Vec<(Ran, f64)> {
+        let n = jobs.len();
+        let started = Instant::now();
+        let threads = effective_threads(run.threads, n);
+        let finished = AtomicUsize::new(0);
+        let say = |line: String| {
+            if !run.quiet {
+                eprintln!("{label} {line}");
+            }
+        };
+        let ran = parallel_indexed(n, threads, |slot| {
+            let job = self.job(jobs[slot]);
+            let (name, id) = (job.entry_name, &job.id);
+            let job_started = Instant::now();
+            if run.verbose {
+                say(format!("cell={name}:{id} event=start"));
+            }
+            let ran = self.run_job(jobs[slot], &job, cache, claims);
+            let wall = job_started.elapsed().as_secs_f64();
+            let (Ran::Hit(m) | Ran::Computed(m, _)) = &ran else {
+                return (ran, wall);
+            };
+            let hit = matches!(ran, Ran::Hit(_));
+            if run.verbose {
+                say(format!(
+                    "cell={name}:{id} event=finish cache={} wall_ms={:.1} truncated={} failed={}",
+                    if hit { "hit" } else { "miss" },
+                    wall * 1e3,
+                    m.truncated,
+                    m.failed,
+                ));
+            }
+            let done = finished.fetch_add(1, Ordering::Relaxed) + 1;
+            say(if hit {
+                format!("[{done}/{n}] {name}:{id} HIT {}", job.key)
+            } else {
+                format!(
+                    "[{done}/{n}] {name}:{id} done in {wall:.1}s ({} events, SLO att. {:.1}%){}",
+                    m.events,
+                    m.slo_attainment * 100.0,
+                    if m.truncated {
+                        ", TRUNCATED (not cached)"
+                    } else {
+                        ""
+                    },
+                )
+            });
+            (ran, wall)
+        });
+        say(format!(
+            "{n} cells on {threads} threads in {:.1}s",
+            started.elapsed().as_secs_f64()
+        ));
+        ran
+    }
+
+    fn run_job(
+        &self,
+        i: usize,
+        job: &CellJob<'_>,
+        cache: Option<&CellCache>,
+        claims: Option<&Claims<'_>>,
+    ) -> Ran {
+        // Budget-aware hit: only replay entries that demonstrably fit the
+        // current step budget (see [`CellCache::load`]).
+        let cached = || cache.and_then(|c| c.load(job.key, job.budget));
+        if let Some(m) = cached() {
+            return Ran::Hit(m);
+        }
+        if let Some(claims) = claims {
+            if !claims.claim(job) {
+                return Ran::Deferred;
+            }
+            if let Some(m) = cached() {
+                claims.release(job, false);
+                return Ran::Hit(m);
+            }
+        }
+        let metrics = self.compute(i);
+        let stored = cache.is_some_and(|c| {
+            c.store(job.key, job.kind, &job.id, &metrics)
+                .unwrap_or_else(|e| {
+                    eprintln!(
+                        "cache store failed for {}: {e} (continuing uncached)",
+                        job.id
+                    );
+                    false
+                })
+        });
+        if let Some(claims) = claims {
+            claims.release(job, true);
+        }
+        Ran::Computed(metrics, stored)
+    }
+
+    /// The deterministic manifest of this plan under `spec`.
+    fn manifest(&self, spec: &CampaignSpec) -> CampaignManifest {
+        let entries = self
+            .entries
+            .iter()
+            .zip(&spec.entries)
+            .zip(&self.keys)
+            .map(|((entry, listed), keys)| ManifestEntry {
+                path: listed.path.clone(),
+                kind: listed.kind,
+                name: entry.name().to_string(),
+                report: format!("{}.report.json", entry.name()),
+                cells: keys
+                    .iter()
+                    .enumerate()
+                    .map(|(ci, key)| ManifestCell {
+                        id: entry.cell_id(ci),
+                        key: key.clone(),
+                    })
+                    .collect(),
+            })
+            .collect();
+        CampaignManifest {
+            version: CAMPAIGN_FORMAT_VERSION,
+            name: spec.name.clone(),
+            salt: cache_salt(),
+            entries,
+        }
+    }
+
+    /// Folds per-job metrics (in flat job order) into one artifact per
+    /// entry: exactly what `fleet run` / `fleet bench` produce for it.
+    fn into_reports(self, metrics: Vec<CellMetrics>) -> Vec<SpecReport> {
+        let mut metrics = metrics.into_iter();
+        self.entries
+            .into_iter()
+            .map(|entry| match entry {
+                LoadedSpec::Sweep(spec, cells) => {
+                    let cells = cells
+                        .into_iter()
+                        .zip(metrics.by_ref())
+                        .map(|(cell, metrics)| CellResult { cell, metrics })
+                        .collect();
+                    SpecReport::Sweep(FleetReport::assemble(spec, cells))
+                }
+                LoadedSpec::Bench(spec, cells) => {
+                    let cells = cells
+                        .into_iter()
+                        .zip(metrics.by_ref())
+                        .map(|(cell, metrics)| BenchCellResult { cell, metrics })
+                        .collect();
+                    SpecReport::Bench(BenchReport {
+                        version: BENCH_REPORT_VERSION,
+                        spec,
+                        cells,
+                    })
+                }
+            })
+            .collect()
+    }
+}
+
+/// Runs one in-memory spec through the cell loop with no cache: the body
+/// of `fleet run` and `fleet bench`. Returns its artifact and every
+/// cell's wall seconds, in cell order.
+pub(crate) fn run_single(
+    entry: LoadedSpec,
+    run: &RunOptions,
+    label: &str,
+) -> (SpecReport, Vec<f64>) {
+    let plan = CampaignPlan::new(vec![entry]);
+    let jobs: Vec<usize> = (0..plan.total_cells()).collect();
+    let (metrics, walls) = plan
+        .execute(&jobs, None, None, run, label)
+        .into_iter()
+        .map(|(ran, wall)| (ran.metrics(), wall))
+        .unzip();
+    let report = plan.into_reports(metrics).remove(0);
+    (report, walls)
 }
 
 /// Campaign runner configuration.
@@ -552,7 +805,6 @@ pub fn run_campaign(
         None => None,
     };
 
-    let setups = plan.setups();
     let n = plan.total_cells();
     if !opts.run.quiet {
         eprintln!(
@@ -567,187 +819,34 @@ pub fn run_campaign(
         );
     }
 
-    let threads = effective_threads(opts.run.threads, n);
-    let finished = AtomicUsize::new(0);
-    let outcomes: Vec<(CellMetrics, bool, bool, f64)> = parallel_indexed(n, threads, |i| {
-        let job = plan.job(i);
-        let (name, id, key) = (job.entry_name, &job.id, job.key);
-        let job_started = Instant::now();
-        if opts.run.verbose && !opts.run.quiet {
-            eprintln!("campaign cell={name}:{id} event=start");
-        }
-        // Budget-aware hit: only replay entries that demonstrably fit
-        // the current step budget (see [`CellCache::load`]).
-        if let Some(metrics) = cache.as_ref().and_then(|c| c.load(key, job.budget)) {
-            let wall_ms = job_started.elapsed().as_secs_f64() * 1e3;
-            let done = finished.fetch_add(1, Ordering::Relaxed) + 1;
-            if !opts.run.quiet {
-                if opts.run.verbose {
-                    eprintln!(
-                        "campaign cell={name}:{id} event=finish cache=hit wall_ms={wall_ms:.1} \
-                         truncated={}",
-                        metrics.truncated,
-                    );
-                }
-                eprintln!("campaign [{done}/{n}] {name}:{id} HIT {key}");
-            }
-            return (metrics, true, false, wall_ms);
-        }
-        let metrics = plan.compute(i, &setups);
-        let stored = match &cache {
-            Some(c) => c.store(key, job.kind, id, &metrics).unwrap_or_else(|e| {
-                eprintln!("campaign cache store failed for {id}: {e} (continuing uncached)");
-                false
-            }),
-            None => false,
-        };
-        let wall_ms = job_started.elapsed().as_secs_f64() * 1e3;
-        let done = finished.fetch_add(1, Ordering::Relaxed) + 1;
-        if !opts.run.quiet {
-            if opts.run.verbose {
-                eprintln!(
-                    "campaign cell={name}:{id} event=finish cache=miss wall_ms={wall_ms:.1} \
-                     truncated={}",
-                    metrics.truncated,
-                );
-            }
-            eprintln!(
-                "campaign [{done}/{n}] {name}:{id} done in {:.1}s{}",
-                job_started.elapsed().as_secs_f64(),
-                if metrics.truncated {
-                    ", TRUNCATED (not cached)"
-                } else {
-                    ""
-                },
-            );
-        }
-        (metrics, false, stored, wall_ms)
-    });
-
-    let stats = CampaignStats {
+    let jobs: Vec<usize> = (0..n).collect();
+    let ran = plan.execute(&jobs, cache.as_ref(), None, &opts.run, "campaign");
+    let mut stats = CampaignStats {
         cells: n,
-        hits: outcomes.iter().filter(|(_, hit, _, _)| *hit).count(),
-        misses: outcomes.iter().filter(|(_, hit, _, _)| !*hit).count(),
-        stored: outcomes.iter().filter(|(_, _, s, _)| *s).count(),
+        ..CampaignStats::default()
     };
-
-    // The wall-clock sidecar rows, in flat job order.
-    let timing_cells: Vec<CellTiming> = (0..n)
-        .zip(&outcomes)
-        .map(|(i, (m, hit, _, wall_ms))| {
-            let job = plan.job(i);
-            CellTiming {
-                entry: job.entry_name.to_string(),
-                id: job.id,
-                cache_hit: *hit,
-                wall_ms: *wall_ms,
-                truncated: m.truncated,
-            }
-        })
-        .collect();
-
-    // Split the flat results back into per-entry artifacts.
-    let mut metrics_by_entry: Vec<Vec<CellMetrics>> = plan
-        .entries
-        .iter()
-        .map(|e| Vec::with_capacity(e.cells()))
-        .collect();
-    for (&(ei, _), (m, _, _, _)) in plan.jobs.iter().zip(outcomes) {
-        metrics_by_entry[ei].push(m);
+    let mut timing = Vec::with_capacity(n);
+    let mut metrics = Vec::with_capacity(n);
+    for (i, (ran, wall_secs)) in ran.into_iter().enumerate() {
+        let hit = matches!(ran, Ran::Hit(_));
+        stats.hits += usize::from(hit);
+        stats.stored += usize::from(matches!(ran, Ran::Computed(_, true)));
+        let m = ran.metrics();
+        timing.push(plan.job(i).timing(hit, wall_secs, &m));
+        metrics.push(m);
     }
+    stats.misses = n - stats.hits;
 
-    let (manifest, reports) = assemble_reports(spec, plan, metrics_by_entry);
-
-    if !opts.run.quiet {
-        eprintln!(
-            "campaign `{}`: {} cells on {} threads in {:.1}s ({})",
-            spec.name,
-            n,
-            threads,
-            started.elapsed().as_secs_f64(),
-            stats.render(opts.cache_dir.is_some()),
-        );
-    }
     Ok(CampaignResult {
-        manifest,
-        reports,
+        manifest: plan.manifest(spec),
+        reports: plan.into_reports(metrics),
         stats,
         timing: CampaignTiming {
-            cells: timing_cells,
+            cells: timing,
             total_ms: started.elapsed().as_secs_f64() * 1e3,
-            threads,
+            threads: effective_threads(opts.run.threads, n),
         },
     })
-}
-
-/// Folds per-entry metrics into the final artifacts: one [`SpecReport`]
-/// per entry (byte-identical to what `fleet run` / `fleet bench` would
-/// produce) plus the [`CampaignManifest`]. Shared by [`run_campaign`]
-/// and [`assemble_campaign`] so the two paths cannot drift.
-fn assemble_reports(
-    spec: &CampaignSpec,
-    plan: CampaignPlan,
-    metrics_by_entry: Vec<Vec<CellMetrics>>,
-) -> (CampaignManifest, Vec<SpecReport>) {
-    let mut reports = Vec::new();
-    let mut manifest_entries = Vec::new();
-    for (((entry, listed), keys), metrics) in plan
-        .entries
-        .into_iter()
-        .zip(&spec.entries)
-        .zip(plan.keys)
-        .zip(metrics_by_entry)
-    {
-        let name = entry.name().to_string();
-        let (report, ids): (SpecReport, Vec<String>) = match entry {
-            LoadedSpec::Sweep(s, cells) => {
-                let ids = cells.iter().map(Cell::id).collect();
-                let results: Vec<CellResult> = cells
-                    .into_iter()
-                    .zip(metrics)
-                    .map(|(cell, metrics)| CellResult { cell, metrics })
-                    .collect();
-                (SpecReport::Sweep(FleetReport::assemble(s, results)), ids)
-            }
-            LoadedSpec::Bench(s, cells) => {
-                let ids = cells.iter().map(BenchCell::id).collect();
-                let results: Vec<BenchCellResult> = cells
-                    .into_iter()
-                    .zip(metrics)
-                    .map(|(cell, metrics)| BenchCellResult { cell, metrics })
-                    .collect();
-                (
-                    SpecReport::Bench(BenchReport {
-                        version: BENCH_REPORT_VERSION,
-                        spec: s,
-                        cells: results,
-                    }),
-                    ids,
-                )
-            }
-        };
-        manifest_entries.push(ManifestEntry {
-            path: listed.path.clone(),
-            kind: listed.kind,
-            name: name.clone(),
-            report: format!("{name}.report.json"),
-            cells: ids
-                .into_iter()
-                .zip(keys)
-                .map(|(id, key)| ManifestCell { id, key })
-                .collect(),
-        });
-        reports.push(report);
-    }
-    (
-        CampaignManifest {
-            version: CAMPAIGN_FORMAT_VERSION,
-            name: spec.name.clone(),
-            salt: cache_salt(),
-            entries: manifest_entries,
-        },
-        reports,
-    )
 }
 
 /// A cell `fleet campaign assemble` could not serve from the cache.
@@ -793,56 +892,40 @@ pub fn assemble_campaign(
         .map_err(|e| FleetError(format!("cannot open cache {}: {e}", cache_dir.display())))?;
 
     let n = plan.total_cells();
-    let mut metrics_by_entry: Vec<Vec<CellMetrics>> = plan
-        .entries
-        .iter()
-        .map(|e| Vec::with_capacity(e.cells()))
-        .collect();
+    let mut metrics = Vec::with_capacity(n);
+    // Assembly is pure bookkeeping: every cell is a hit, no wall-clock
+    // enters any byte-compared artifact (the timing sidecar is already
+    // excluded from every cmp).
+    let mut timing = Vec::with_capacity(n);
     let mut missing = Vec::new();
     for i in 0..n {
         let job = plan.job(i);
         match cache.load(job.key, job.budget) {
-            Some(m) => metrics_by_entry[plan.jobs[i].0].push(m),
+            Some(m) => {
+                timing.push(job.timing(true, 0.0, &m));
+                metrics.push(m);
+            }
             None => missing.push(MissingCell {
                 entry: job.entry_name.to_string(),
-                id: job.id,
                 key: job.key.to_string(),
+                id: job.id,
             }),
         }
     }
     if !missing.is_empty() {
         return Ok(AssembleOutcome::Incomplete { missing });
     }
-
-    // Assembly is pure bookkeeping: every cell is a hit, no wall-clock
-    // enters any byte-compared artifact (the timing sidecar is already
-    // excluded from every cmp).
-    let timing_cells: Vec<CellTiming> = (0..n)
-        .map(|i| {
-            let job = plan.job(i);
-            let (ei, ci) = plan.jobs[i];
-            CellTiming {
-                entry: job.entry_name.to_string(),
-                id: job.id,
-                cache_hit: true,
-                wall_ms: 0.0,
-                truncated: metrics_by_entry[ei][ci].truncated,
-            }
-        })
-        .collect();
-    let stats = CampaignStats {
-        cells: n,
-        hits: n,
-        misses: 0,
-        stored: 0,
-    };
-    let (manifest, reports) = assemble_reports(spec, plan, metrics_by_entry);
     Ok(AssembleOutcome::Complete(Box::new(CampaignResult {
-        manifest,
-        reports,
-        stats,
+        manifest: plan.manifest(spec),
+        reports: plan.into_reports(metrics),
+        stats: CampaignStats {
+            cells: n,
+            hits: n,
+            misses: 0,
+            stored: 0,
+        },
         timing: CampaignTiming {
-            cells: timing_cells,
+            cells: timing,
             total_ms: started.elapsed().as_secs_f64() * 1e3,
             threads: 0,
         },

@@ -11,9 +11,9 @@
 //!   CV × request rate × cluster shape × policy, expanded
 //!   deterministically with per-cell seed derivation that gives every
 //!   policy in a cell group byte-identical traffic;
-//! - [`runner`] — the thread-pool fleet runner over
-//!   `flexpipe_serving::Engine`, with progress reporting, per-cell panic
-//!   containment and the step-budget watchdog;
+//! - [`runner`] — the one engine builder (sweep and bench cells alike)
+//!   over `flexpipe_serving::Engine` with the step-budget watchdog, the
+//!   worker pool, and `run_sweep`;
 //! - [`report`] — steady-state aggregation (TTFT/TPOT percentiles, SLO
 //!   attainment, goodput, refactor pauses) into per-cell and per-policy
 //!   tables plus a byte-stable JSON artifact;
@@ -24,9 +24,11 @@
 //!   prefill caps × admission batch × rates up to 10× the paper's 20 QPS,
 //!   with wall-clock throughput columns and indexed-vs-naive admission
 //!   A/B timing;
-//! - [`campaign`] — resumable multi-spec campaigns (`fleet campaign`):
-//!   sweep + bench spec lists over one shared worker pool, with every
-//!   cell persisted in the content-addressed cache;
+//! - [`campaign`] — the [`CampaignPlan`] and its cell loop, the only way
+//!   a cell is executed (progress, per-cell panic containment, cache
+//!   lookups): `fleet run` and `fleet bench` run a one-entry plan
+//!   uncached, `fleet campaign` runs multi-spec campaigns resumably over
+//!   the content-addressed cache, `fleet worker` drains one by claims;
 //! - [`cache`] — the per-cell artifact cache: keys hash each cell's
 //!   canonicalized semantics under the engine-fingerprint salt, entries
 //!   write atomically, truncated cells never persist (the resume
@@ -36,12 +38,12 @@
 //!   layout, plus the atomic worker-claim protocol;
 //! - [`worker`] — the distributed campaign worker (`fleet worker`):
 //!   drain one campaign's cell list from N processes/machines against a
-//!   shared cache dir, by deterministic shard (`--shard i/n`) or by
-//!   claim-file coordination with heartbeats and stale-claim reaping;
+//!   shared cache dir by claim-file coordination, with heartbeats and
+//!   stale-claim reaping;
 //! - [`trace`] — structured engine traces as fleet artifacts
 //!   (`fleet trace`): record a cell's virtual-time JSONL trace,
-//!   summarize or structurally diff trace files, and profile the
-//!   engine's own dispatch self-time at fleet scale.
+//!   summarize trace files, and profile the engine's own dispatch
+//!   self-time at fleet scale (`fleet check equiv` compares traces).
 //!
 //! The `flexpipe-fleet` binary wraps it all into `init` / `run` /
 //! `bench` / `campaign` / `worker` / `cache` / `trace` /
@@ -69,12 +71,10 @@ pub mod trace;
 pub mod worker;
 
 pub use bench::{
-    derive_bench_seed, hot_path_speedups, hot_path_table, run_bench, run_bench_cell, BenchCell,
-    BenchCellResult, BenchReport, BenchSpec, BenchTiming, HotPathRow,
+    derive_bench_seed, hot_path_speedups, hot_path_table, run_bench, BenchCell, BenchCellResult,
+    BenchReport, BenchSpec, BenchTiming, HotPathRow,
 };
-pub use cache::{
-    cache_salt, canonical_json, canonicalize, cell_key, key_shard, CacheStats, CellCache,
-};
+pub use cache::{cache_salt, canonical_json, canonicalize, cell_key, CacheStats, CellCache};
 pub use campaign::{
     assemble_campaign, load_entries, run_campaign, AssembleOutcome, CampaignEntry,
     CampaignManifest, CampaignOptions, CampaignPlan, CampaignResult, CampaignSpec, CampaignStats,

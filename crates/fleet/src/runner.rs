@@ -1,23 +1,18 @@
-//! The parallel fleet runner: executes an expanded scenario grid on a
-//! worker thread pool over the serving engine.
+//! The fleet runner's cell layer: how one cell of a sweep becomes an
+//! engine run, plus the worker pool every cell loop runs on.
 //!
-//! Each worker pulls the next unclaimed cell from a shared atomic cursor,
-//! constructs the cell's workload / scenario / policy from the spec
-//! (generation is seeded per cell, so construction order across threads
-//! cannot perturb results), runs the engine, and writes its metrics into
-//! the cell's pre-allocated result slot. Model artefacts (graph +
-//! granularity lattice) are built once and shared via `Arc` — lattice
-//! construction costs more than a short cell run.
-//!
-//! Robustness: every cell body runs under `catch_unwind`, so one
-//! pathological cell reports as failed instead of tearing down the grid,
-//! and the engine's step budget (`SweepSpec::max_events`) bounds runaway
-//! cells, which surface with `truncated = true`.
+//! `build_cell_engine` is the one engine builder: sweep cells and
+//! bench cells (as single-coordinate sweeps with their tunables in the
+//! [`EngineConfig`]) both go through it. Workload generation is seeded
+//! per cell, so construction order across threads cannot perturb
+//! results. [`run_sweep`] is the one-entry, uncached case of the
+//! campaign cell loop ([`crate::campaign`]), which owns scheduling,
+//! progress, panic containment and caching. The engine's step budget
+//! (`SweepSpec::max_events`) bounds runaway cells, which surface with
+//! `truncated = true`.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use flexpipe_bench::PaperSetup;
 use flexpipe_chaos::{virtual_horizon, warp_arrivals, DisruptionScript};
@@ -25,7 +20,8 @@ use flexpipe_serving::{AdmissionMode, Engine, EngineConfig, ObservedRun, Scenari
 use flexpipe_sim::{SimDuration, SimRng, SimTime};
 use flexpipe_workload::{ArrivalSpec, WorkloadSpec};
 
-use crate::report::{summarize_cell, CellMetrics, CellResult, FleetReport};
+use crate::campaign::{run_single, LoadedSpec, SpecReport};
+use crate::report::{summarize_cell, CellMetrics, FleetReport};
 use crate::spec::{Cell, DisruptionShape, SweepSpec};
 
 /// Runner configuration.
@@ -91,7 +87,26 @@ pub fn run_cell_in_mode(
     setup: &PaperSetup,
     admission: AdmissionMode,
 ) -> CellMetrics {
-    let (engine, offered) = build_cell_engine(spec, cell, setup, admission);
+    run_cell_with(
+        spec,
+        cell,
+        setup,
+        EngineConfig {
+            admission,
+            ..EngineConfig::default()
+        },
+    )
+}
+
+/// Executes one cell under explicit engine tunables (`config`; its
+/// `max_events` is always the spec's).
+pub(crate) fn run_cell_with(
+    spec: &SweepSpec,
+    cell: &Cell,
+    setup: &PaperSetup,
+    config: EngineConfig,
+) -> CellMetrics {
+    let (engine, offered) = build_cell_engine(spec, cell, setup, config);
     let report = engine.run();
     summarize_cell(&report, spec.warmup_secs, spec.horizon_secs, offered)
 }
@@ -108,7 +123,11 @@ pub fn run_cell_observed(
     trace: TraceMode,
     profile: bool,
 ) -> (CellMetrics, ObservedRun) {
-    let (mut engine, offered) = build_cell_engine(spec, cell, setup, admission);
+    let config = EngineConfig {
+        admission,
+        ..EngineConfig::default()
+    };
+    let (mut engine, offered) = build_cell_engine(spec, cell, setup, config);
     engine.set_trace(trace);
     engine.set_profiler(profile);
     let observed = engine.run_observed();
@@ -121,14 +140,14 @@ pub fn run_cell_observed(
     (metrics, observed)
 }
 
-/// Builds a cell's fully-configured engine plus its offered-load count
-/// (post-warmup arrivals). Shared by the plain and the observed cell
-/// runners so both execute the identical scenario.
+/// The one engine builder: a cell's fully-configured engine plus its
+/// offered-load count (post-warmup arrivals). `config` carries the engine
+/// tunables; the step budget always comes from the spec.
 fn build_cell_engine(
     spec: &SweepSpec,
     cell: &Cell,
     setup: &PaperSetup,
-    admission: AdmissionMode,
+    config: EngineConfig,
 ) -> (Engine, usize) {
     let warmup = spec.warmup_secs;
     let span = warmup + spec.horizon_secs;
@@ -159,8 +178,7 @@ fn build_cell_engine(
     let scenario = Scenario {
         config: EngineConfig {
             max_events: spec.max_events,
-            admission,
-            ..EngineConfig::default()
+            ..config
         },
         cluster: cell.cluster.cluster(),
         background: spec.background.profile(),
@@ -211,12 +229,11 @@ pub(crate) fn failed_cell_metrics() -> CellMetrics {
 }
 
 /// Runs `n` index-addressed jobs on a pool of `threads` workers and
-/// returns the results in index order. The shared backbone of
-/// [`run_sweep`], [`crate::bench::run_bench`] and
-/// [`crate::campaign::run_campaign`]: workers pull the next unclaimed
-/// index from an atomic cursor and write into pre-assigned slots, so
-/// thread interleaving can never reorder (or drop) results. `f` is
-/// responsible for its own panic containment.
+/// returns the results in index order. The pool under the campaign cell
+/// loop ([`crate::campaign`]): workers pull the next unclaimed index from
+/// an atomic cursor and write into pre-assigned slots, so thread
+/// interleaving can never reorder (or drop) results. `f` is responsible
+/// for its own panic containment.
 pub(crate) fn parallel_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -247,17 +264,15 @@ where
         .collect()
 }
 
-/// Runs the full sweep, in parallel, and assembles the report.
+/// Runs the full sweep, in parallel, and assembles the report: the
+/// one-entry, uncached case of the campaign cell loop.
 pub fn run_sweep(spec: &SweepSpec, opts: &RunOptions) -> Result<FleetReport, FleetError> {
-    spec.validate().map_err(FleetError)?;
-    let cells = spec.expand();
-    let n = cells.len();
-    let started = Instant::now();
+    let entry = LoadedSpec::sweep(spec.clone()).map_err(FleetError)?;
     if !opts.quiet {
         eprintln!(
             "fleet `{}`: {} cells ({} cvs x {} rates x {} clusters x {} disruptions x {} replicas x {} policies), model {}",
             spec.name,
-            n,
+            entry.cells(),
             spec.cvs.len(),
             spec.rates.len(),
             spec.clusters.len(),
@@ -267,70 +282,10 @@ pub fn run_sweep(spec: &SweepSpec, opts: &RunOptions) -> Result<FleetReport, Fle
             spec.model.name(),
         );
     }
-
-    // Shared model artefacts (graph + lattice): built once, read-only.
-    let setup = PaperSetup::for_model(spec.model);
-    if !opts.quiet {
-        eprintln!(
-            "fleet `{}`: lattice ready ({} levels) in {:.1}s",
-            spec.name,
-            setup.levels.len(),
-            started.elapsed().as_secs_f64()
-        );
-    }
-
-    let threads = effective_threads(opts.threads, n);
-    let finished = AtomicUsize::new(0);
-    let metrics = parallel_indexed(n, threads, |i| {
-        let cell = &cells[i];
-        if opts.verbose && !opts.quiet {
-            eprintln!("fleet cell={} event=start", cell.id());
-        }
-        let cell_started = Instant::now();
-        let metrics = match catch_unwind(AssertUnwindSafe(|| run_cell(spec, cell, &setup))) {
-            Ok(m) => m,
-            Err(_) => {
-                eprintln!("fleet cell {} PANICKED; recorded as failed", cell.id());
-                failed_cell_metrics()
-            }
-        };
-        if opts.verbose && !opts.quiet {
-            eprintln!(
-                "fleet cell={} event=finish wall_ms={:.1} truncated={} failed={}",
-                cell.id(),
-                cell_started.elapsed().as_secs_f64() * 1e3,
-                metrics.truncated,
-                metrics.failed,
-            );
-        }
-        let done = finished.fetch_add(1, Ordering::Relaxed) + 1;
-        if !opts.quiet {
-            eprintln!(
-                "fleet [{done}/{n}] {} done in {:.1}s (SLO att. {:.1}%{})",
-                cell.id(),
-                cell_started.elapsed().as_secs_f64(),
-                metrics.slo_attainment * 100.0,
-                if metrics.truncated { ", TRUNCATED" } else { "" },
-            );
-        }
-        metrics
-    });
-
-    let results: Vec<CellResult> = cells
-        .into_iter()
-        .zip(metrics)
-        .map(|(cell, metrics)| CellResult { cell, metrics })
-        .collect();
-    if !opts.quiet {
-        eprintln!(
-            "fleet `{}`: {} cells on {} threads in {:.1}s",
-            spec.name,
-            n,
-            threads,
-            started.elapsed().as_secs_f64()
-        );
-    }
-    Ok(FleetReport::assemble(spec.clone(), results))
+    let (SpecReport::Sweep(report), _) = run_single(entry, opts, "fleet") else {
+        unreachable!("a sweep entry assembles a sweep report")
+    };
+    Ok(report)
 }
 
 /// Resolves the worker count: explicit, else one per core, always within

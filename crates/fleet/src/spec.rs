@@ -18,6 +18,7 @@ use flexpipe_chaos::{virtual_horizon, DisruptionScript, RandomDisruptions};
 use flexpipe_cluster::{BackgroundProfile, ClusterSpec};
 use flexpipe_model::ModelId;
 use flexpipe_serving::ControlPolicy;
+use flexpipe_sim::mix64;
 use flexpipe_workload::{check_arrival_budget, LengthProfile};
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -333,14 +334,6 @@ pub(crate) fn fmt_axis(x: f64) -> String {
     } else {
         format!("{x}").replace('.', "p")
     }
-}
-
-/// SplitMix64 finalizer used for seed derivation.
-pub(crate) fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
 }
 
 /// Derives a cell's workload seed from the spec seed and the cell's

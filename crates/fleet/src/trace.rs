@@ -1,13 +1,12 @@
 //! `fleet trace`: structured engine traces as a first-class fleet
-//! artifact — record a cell's trace, summarize a trace file, diff two
-//! traces structurally, and profile the engine's own dispatch self-time.
+//! artifact — record a cell's trace, summarize a trace file, and profile
+//! the engine's own dispatch self-time.
 //!
 //! Traces are virtual-time-stamped JSONL (see [`flexpipe_obs`]): byte
-//! stable for a given (spec, cell) at any thread count, which makes
-//! `fleet trace diff` a meaningful equivalence check — the seed of the
-//! future trace-equivalence checker subsystem. Profiling is the one
-//! deliberately wall-clock piece and stays outside every artifact,
-//! like bench timings.
+//! stable for a given (spec, cell) at any thread count, so `cmp` decides
+//! byte equality and `fleet check equiv` decides semantic equivalence.
+//! Profiling is the one deliberately wall-clock piece and stays outside
+//! every artifact, like bench timings.
 
 use flexpipe_bench::PaperSetup;
 use flexpipe_model::ModelId;

@@ -6,22 +6,17 @@
 //! and then computes cells *into the cache* without assembling any
 //! artifacts. Assembly is a separate, cache-only step
 //! ([`crate::campaign::assemble_campaign`], `fleet campaign assemble`)
-//! run once the fleet has drained. Two coordination modes:
+//! run once the fleet has drained.
 //!
-//! - **Shard mode** (`--shard i/n`): the deterministic partitioner.
-//!   Every worker computes [`key_shard`]`(key, n)` from the campaign
-//!   file alone and takes exactly the cells whose keys land in its
-//!   shard — stateless, coordination-free, no shared-filesystem
-//!   semantics required beyond the atomic cache writes themselves.
-//!   The cost: a dead worker's shard simply doesn't get done until a
-//!   replacement with the same `i/n` is started.
-//! - **Claim mode** (default): workers race over the full cell list,
-//!   coordinating through atomic claim markers in the cache
-//!   ([`crate::store::LocalDiskStore::try_claim`]). A claim holds the
-//!   worker id and is heartbeated (mtime refresh) while the cell
-//!   computes; claims whose heartbeat is older than `--claim-ttl` are
-//!   presumed dead and reaped by any live worker. Workers visit pending
-//!   cells in a per-worker shuffled order to keep contention low.
+//! Workers coordinate through atomic claim markers in the cache
+//! ([`crate::store::LocalDiskStore::try_claim`]). Each worker makes
+//! repeated passes over the pending cells, in a per-worker shuffled order
+//! to keep contention low, through the same cell loop as `fleet
+//! campaign`: a cached cell is a hit, a missing one is claimed, re-probed
+//! (a peer may have just finished it), computed, stored and released. A
+//! claim holds the worker id and is heartbeated (mtime refresh) while the
+//! cell computes; claims whose heartbeat is older than `--claim-ttl` are
+//! presumed dead and reaped by any live worker between passes.
 //!
 //! Claims are an **optimization, not a lock**: if two workers ever
 //! compute the same cell (a reaped-but-alive worker, claim races on
@@ -37,12 +32,14 @@
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::cache::{key_shard, CellCache};
-use crate::campaign::{CampaignPlan, CampaignSpec};
-use crate::runner::{effective_threads, parallel_indexed, FleetError};
+use flexpipe_sim::{fnv1a, FNV_OFFSET};
+
+use crate::cache::CellCache;
+use crate::campaign::{CampaignPlan, CampaignSpec, CellJob, Ran};
+use crate::runner::FleetError;
 use crate::store::{ClaimOutcome, DEFAULT_CLAIM_TTL};
 use crate::RunOptions;
 
@@ -55,11 +52,8 @@ pub struct WorkerOptions {
     /// Defaults to `w<pid>`; give each machine a stable, unique id when
     /// running over a shared filesystem.
     pub worker_id: String,
-    /// `Some((i, n))` selects shard mode: take exactly the cells whose
-    /// [`key_shard`] under `n` equals `i`. `None` selects claim mode.
-    pub shard: Option<(usize, usize)>,
-    /// Claim-mode heartbeat TTL: claims not refreshed within this window
-    /// are presumed abandoned and reaped.
+    /// Heartbeat TTL: claims not refreshed within this window are
+    /// presumed abandoned and reaped.
     pub claim_ttl: Duration,
     /// Stop after computing this many cells (chunked draining; also how
     /// tests simulate a worker killed mid-campaign). `None` drains.
@@ -71,7 +65,6 @@ impl Default for WorkerOptions {
         WorkerOptions {
             run: RunOptions::default(),
             worker_id: format!("w{}", std::process::id()),
-            shard: None,
             claim_ttl: DEFAULT_CLAIM_TTL,
             max_cells: None,
         }
@@ -82,7 +75,7 @@ impl Default for WorkerOptions {
 /// the cache is the only artifact a worker produces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkerOutcome {
-    /// Cells in this worker's scope (its shard, or the whole campaign).
+    /// Cells in the campaign.
     pub assigned: usize,
     /// Cells this worker computed and stored.
     pub computed: usize,
@@ -108,248 +101,164 @@ impl WorkerOutcome {
     }
 }
 
+/// One worker's side of the claim protocol, consulted by the cell loop
+/// around every cache miss: it takes and releases claims, remembers the
+/// held ones for the heartbeat, and counts computes against `max_cells`.
+pub(crate) struct Claims<'a> {
+    cache: &'a CellCache,
+    opts: &'a WorkerOptions,
+    held: Mutex<BTreeSet<String>>,
+    /// Computes spent or reserved so far, across passes.
+    computed: AtomicUsize,
+}
+
+impl Claims<'_> {
+    fn cap(&self) -> usize {
+        self.opts.max_cells.unwrap_or(usize::MAX)
+    }
+
+    /// Reserves one compute under the cap and claims `job`; `false`
+    /// defers the cell (over the cap, held by a peer, or an unreadable
+    /// claim file — claiming is best-effort).
+    pub(crate) fn claim(&self, job: &CellJob<'_>) -> bool {
+        if self.computed.fetch_add(1, Ordering::Relaxed) >= self.cap() {
+            self.computed.fetch_sub(1, Ordering::Relaxed);
+            return false;
+        }
+        let worker = &self.opts.worker_id;
+        match self.cache.try_claim(job.key, worker) {
+            Ok(ClaimOutcome::Acquired) => {
+                self.held
+                    .lock()
+                    .expect("held-claims lock")
+                    .insert(job.key.to_string());
+                return true;
+            }
+            Ok(ClaimOutcome::Held { worker: peer, .. }) => {
+                if !self.opts.run.quiet {
+                    eprintln!(
+                        "worker {worker} {}:{} held by {peer}",
+                        job.entry_name, job.id
+                    );
+                }
+            }
+            Err(e) => eprintln!("worker {worker}: claim {} failed: {e}", job.key),
+        }
+        self.computed.fetch_sub(1, Ordering::Relaxed);
+        false
+    }
+
+    /// Releases this worker's claim on `job`; `computed` says whether the
+    /// reserved compute was spent (a re-probe hit gives it back).
+    pub(crate) fn release(&self, job: &CellJob<'_>, computed: bool) {
+        if !computed {
+            self.computed.fetch_sub(1, Ordering::Relaxed);
+        }
+        self.held.lock().expect("held-claims lock").remove(job.key);
+        let _ = self.cache.release_claim(job.key, &self.opts.worker_id);
+    }
+}
+
 /// Runs one worker process over `spec`'s cell list against the cache at
-/// `cache_dir`, in shard or claim mode (see the module docs). Returns
-/// when every assigned cell is resolved — cached (by anyone), computed,
-/// or proven uncacheable — or when `max_cells` stops it early.
+/// `cache_dir` (see the module docs). Returns when every cell is
+/// resolved — cached (by anyone), computed, or proven uncacheable — or
+/// when `max_cells` stops it early.
 pub fn run_worker(
     spec: &CampaignSpec,
     base_dir: &Path,
     cache_dir: &Path,
     opts: &WorkerOptions,
 ) -> Result<WorkerOutcome, FleetError> {
-    if let Some((i, n)) = opts.shard {
-        if n == 0 || i >= n {
-            return Err(FleetError(format!(
-                "bad shard {i}/{n}: expected 0 <= i < n"
-            )));
-        }
-    }
     let plan = CampaignPlan::load(spec, base_dir)?;
     let cache = CellCache::open(cache_dir)
         .map_err(|e| FleetError(format!("cannot open cache {}: {e}", cache_dir.display())))?;
-    let setups = plan.setups();
-
-    // This worker's scope within the flat job list.
-    let assigned: Vec<usize> = match opts.shard {
-        Some((i, n)) => (0..plan.total_cells())
-            .filter(|&j| key_shard(plan.job(j).key, n) == i)
-            .collect(),
-        None => (0..plan.total_cells()).collect(),
-    };
+    let n = plan.total_cells();
     if !opts.run.quiet {
         eprintln!(
-            "worker {} on campaign `{}`: {} of {} cells in scope ({}), cache at {}",
+            "worker {} on campaign `{}`: {n} cells, claim ttl {:?}, cache at {}",
             opts.worker_id,
             spec.name,
-            assigned.len(),
-            plan.total_cells(),
-            match opts.shard {
-                Some((i, n)) => format!("shard {i}/{n}"),
-                None => format!("claim mode, ttl {:?}", opts.claim_ttl),
-            },
+            opts.claim_ttl,
             cache.dir().display(),
         );
     }
 
-    let outcome = match opts.shard {
-        Some(_) => run_sharded(&plan, &cache, &setups, &assigned, opts),
-        None => run_claiming(&plan, &cache, &setups, &assigned, opts),
+    let claims = Claims {
+        cache: &cache,
+        opts,
+        held: Mutex::default(),
+        computed: AtomicUsize::new(0),
     };
-    if !opts.run.quiet {
-        if let Ok(o) = &outcome {
-            eprintln!("{}", o.render(&opts.worker_id));
-        }
-    }
-    outcome
-}
-
-/// Shard mode: compute every assigned cell not already cached. No
-/// claims, no waiting on peers — the partition is the coordination.
-fn run_sharded(
-    plan: &CampaignPlan,
-    cache: &CellCache,
-    setups: &[(flexpipe_model::ModelId, flexpipe_bench::PaperSetup)],
-    assigned: &[usize],
-    opts: &WorkerOptions,
-) -> Result<WorkerOutcome, FleetError> {
-    let n = assigned.len();
-    let threads = effective_threads(opts.run.threads, n);
-    let computed_cap = opts.max_cells.unwrap_or(usize::MAX);
-    let computed_count = AtomicUsize::new(0);
-    // 0 = hit, 1 = computed, 2 = uncacheable, 3 = abandoned (over cap).
-    let results: Vec<u8> = parallel_indexed(n, threads, |slot| {
-        let i = assigned[slot];
-        let job = plan.job(i);
-        if cache.load(job.key, job.budget).is_some() {
-            progress(opts, job.entry_name, &job.id, "HIT");
-            return 0;
-        }
-        if computed_count.fetch_add(1, Ordering::Relaxed) >= computed_cap {
-            return 3;
-        }
-        let metrics = plan.compute(i, setups);
-        let stored = store_logged(cache, &job, &metrics);
-        progress(
-            opts,
-            job.entry_name,
-            &job.id,
-            if stored { "computed" } else { "UNCACHEABLE" },
-        );
-        if stored {
-            1
-        } else {
-            2
-        }
-    });
-    Ok(WorkerOutcome {
-        assigned: n,
-        computed: results.iter().filter(|&&r| r == 1).count(),
-        hits: results.iter().filter(|&&r| r == 0).count(),
-        uncacheable: results.iter().filter(|&&r| r == 2).count(),
-        reaped: 0,
-        abandoned: results.iter().filter(|&&r| r == 3).count(),
-    })
-}
-
-/// Claim mode: repeated passes over the pending set in a per-worker
-/// shuffled order, claiming before computing, heartbeating held claims,
-/// reaping stale ones between passes.
-fn run_claiming(
-    plan: &CampaignPlan,
-    cache: &CellCache,
-    setups: &[(flexpipe_model::ModelId, flexpipe_bench::PaperSetup)],
-    assigned: &[usize],
-    opts: &WorkerOptions,
-) -> Result<WorkerOutcome, FleetError> {
+    let label = format!("worker {}", opts.worker_id);
     let mut outcome = WorkerOutcome {
-        assigned: assigned.len(),
+        assigned: n,
         ..Default::default()
     };
-    let mut pending: Vec<usize> = assigned.to_vec();
-    let computed_cap = opts.max_cells.unwrap_or(usize::MAX);
-
-    // Heartbeat thread: refresh every claim this worker currently holds,
-    // well inside the TTL, so long cells are never reaped from under us.
-    let held: Arc<Mutex<BTreeSet<String>>> = Arc::new(Mutex::new(BTreeSet::new()));
-    let stop = Arc::new(AtomicBool::new(false));
+    let mut pending: Vec<usize> = (0..n).collect();
     let beat = heartbeat_interval(opts.claim_ttl);
-    let heartbeat = {
-        let held = Arc::clone(&held);
-        let stop = Arc::clone(&stop);
-        let cache = cache.clone();
-        let worker = opts.worker_id.clone();
-        std::thread::spawn(move || {
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        // Heartbeat: refresh every claim this worker holds, well inside
+        // the TTL, so long cells are never reaped from under us. A failed
+        // refresh (claim reaped by a peer) is not fatal: the cell's put is
+        // still atomic and byte-identical either way.
+        let heartbeat = scope.spawn(|| {
             while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(beat);
-                let keys: Vec<String> = held.lock().unwrap().iter().cloned().collect();
+                std::thread::park_timeout(beat);
+                let keys: Vec<String> = claims
+                    .held
+                    .lock()
+                    .expect("held-claims lock")
+                    .iter()
+                    .cloned()
+                    .collect();
                 for key in keys {
-                    // A failed refresh (claim reaped by a peer) is not
-                    // fatal: the cell's put is still atomic and
-                    // byte-identical either way.
-                    let _ = cache.refresh_claim(&key, &worker);
+                    let _ = cache.refresh_claim(&key, &opts.worker_id);
                 }
-            }
-        })
-    };
-
-    let mut pass = 0u64;
-    while !pending.is_empty() && outcome.computed < computed_cap {
-        pass += 1;
-        let order = shuffled(&pending, &opts.worker_id, pass);
-        let n = order.len();
-        let threads = effective_threads(opts.run.threads, n);
-        let computed_before = outcome.computed;
-        let computed_count = AtomicUsize::new(computed_before);
-        // Per-item outcome: 0 hit, 1 computed, 2 uncacheable, 3 pending
-        // (held elsewhere or over the compute cap).
-        let results: Vec<u8> = parallel_indexed(n, threads, |slot| {
-            let i = order[slot];
-            let job = plan.job(i);
-            if cache.load(job.key, job.budget).is_some() {
-                progress(opts, job.entry_name, &job.id, "HIT");
-                return 0;
-            }
-            if computed_count.load(Ordering::Relaxed) >= computed_cap {
-                return 3;
-            }
-            match cache.try_claim(job.key, &opts.worker_id) {
-                Ok(ClaimOutcome::Acquired) => {}
-                Ok(ClaimOutcome::Held { worker, .. }) => {
-                    progress(opts, job.entry_name, &job.id, &format!("held by {worker}"));
-                    return 3;
-                }
-                Err(e) => {
-                    // Claiming is best-effort; an unreadable claim file
-                    // just defers the cell to a later pass.
-                    eprintln!("worker {}: claim {} failed: {e}", opts.worker_id, job.key);
-                    return 3;
-                }
-            }
-            // Between our cache probe and the claim, a peer may have
-            // finished this cell and released: re-check before burning
-            // compute.
-            if cache.load(job.key, job.budget).is_some() {
-                let _ = cache.release_claim(job.key, &opts.worker_id);
-                progress(opts, job.entry_name, &job.id, "HIT");
-                return 0;
-            }
-            if computed_count.fetch_add(1, Ordering::Relaxed) >= computed_cap {
-                let _ = cache.release_claim(job.key, &opts.worker_id);
-                return 3;
-            }
-            held.lock().unwrap().insert(job.key.to_string());
-            let metrics = plan.compute(i, setups);
-            let stored = store_logged(cache, &job, &metrics);
-            held.lock().unwrap().remove(job.key);
-            let _ = cache.release_claim(job.key, &opts.worker_id);
-            progress(
-                opts,
-                job.entry_name,
-                &job.id,
-                if stored { "computed" } else { "UNCACHEABLE" },
-            );
-            if stored {
-                1
-            } else {
-                2
             }
         });
 
-        let mut still_pending = Vec::new();
-        for (slot, &r) in results.iter().enumerate() {
-            match r {
-                0 => outcome.hits += 1,
-                1 => outcome.computed += 1,
-                2 => outcome.uncacheable += 1,
-                _ => still_pending.push(order[slot]),
+        let mut pass = 0u64;
+        while !pending.is_empty() && claims.computed.load(Ordering::Relaxed) < claims.cap() {
+            pass += 1;
+            let order = shuffled(&pending, &opts.worker_id, pass);
+            let ran = plan.execute(&order, Some(&cache), Some(&claims), &opts.run, &label);
+            let before = pending.len();
+            pending.clear();
+            for (&i, (ran, _)) in order.iter().zip(ran) {
+                match ran {
+                    Ran::Hit(_) => outcome.hits += 1,
+                    Ran::Computed(_, true) => outcome.computed += 1,
+                    Ran::Computed(_, false) => outcome.uncacheable += 1,
+                    Ran::Deferred => pending.push(i),
+                }
             }
-        }
-        still_pending.sort_unstable();
-        let progressed = still_pending.len() < pending.len();
-        pending = still_pending;
+            pending.sort_unstable();
 
-        if !pending.is_empty() && outcome.computed < computed_cap {
-            // Peers hold everything that's left. Reap the dead, then
-            // wait briefly for the living before re-checking.
-            match cache.reap_stale_claims(opts.claim_ttl) {
-                Ok(reaped) => {
-                    outcome.reaped += reaped;
-                    if reaped == 0 && !progressed {
+            if !pending.is_empty() && claims.computed.load(Ordering::Relaxed) < claims.cap() {
+                // Peers hold everything that's left. Reap the dead, then
+                // wait briefly for the living before re-checking.
+                match cache.reap_stale_claims(opts.claim_ttl) {
+                    Ok(reaped) => {
+                        outcome.reaped += reaped;
+                        if reaped == 0 && pending.len() == before {
+                            std::thread::sleep(beat);
+                        }
+                    }
+                    Err(e) => {
+                        eprintln!("worker {}: reap failed: {e}", opts.worker_id);
                         std::thread::sleep(beat);
                     }
                 }
-                Err(e) => {
-                    eprintln!("worker {}: reap failed: {e}", opts.worker_id);
-                    std::thread::sleep(beat);
-                }
             }
         }
-    }
+        stop.store(true, Ordering::Relaxed);
+        heartbeat.thread().unpark();
+    });
     outcome.abandoned = pending.len();
-
-    stop.store(true, Ordering::Relaxed);
-    let _ = heartbeat.join();
+    if !opts.run.quiet {
+        eprintln!("{}", outcome.render(&opts.worker_id));
+    }
     Ok(outcome)
 }
 
@@ -359,36 +268,14 @@ fn heartbeat_interval(ttl: Duration) -> Duration {
     (ttl / 4).max(Duration::from_millis(250))
 }
 
-fn store_logged(
-    cache: &CellCache,
-    job: &crate::campaign::CellJob<'_>,
-    metrics: &crate::report::CellMetrics,
-) -> bool {
-    cache
-        .store(job.key, job.kind, &job.id, metrics)
-        .unwrap_or_else(|e| {
-            eprintln!("worker cache store failed for {}: {e}", job.id);
-            false
-        })
-}
-
-fn progress(opts: &WorkerOptions, entry: &str, id: &str, what: &str) {
-    if !opts.run.quiet {
-        eprintln!("worker {} {entry}:{id} {what}", opts.worker_id);
-    }
-}
-
 /// A deterministic per-(worker, pass) shuffle of the pending list:
 /// different workers visit cells in different orders, so claim
 /// collisions stay rare without any shared state. Plain FNV-seeded
 /// Fisher–Yates — statistical quality is irrelevant here, divergence
 /// between workers is the point.
 fn shuffled(items: &[usize], worker_id: &str, pass: u64) -> Vec<usize> {
-    let mut seed: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in worker_id.as_bytes() {
-        seed = (seed ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    seed ^= pass.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut seed =
+        fnv1a(FNV_OFFSET, worker_id.as_bytes()) ^ pass.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let mut out = items.to_vec();
     for i in (1..out.len()).rev() {
         // xorshift64* step per draw.
@@ -432,21 +319,5 @@ mod tests {
             heartbeat_interval(Duration::from_millis(100)),
             Duration::from_millis(250)
         );
-    }
-
-    #[test]
-    fn bad_shards_error() {
-        let spec = CampaignSpec::template();
-        let opts = WorkerOptions {
-            shard: Some((3, 3)),
-            ..Default::default()
-        };
-        let err = run_worker(&spec, Path::new("."), Path::new("/tmp/x"), &opts).unwrap_err();
-        assert!(err.to_string().contains("bad shard"), "{err}");
-        let opts = WorkerOptions {
-            shard: Some((0, 0)),
-            ..Default::default()
-        };
-        assert!(run_worker(&spec, Path::new("."), Path::new("/tmp/x"), &opts).is_err());
     }
 }

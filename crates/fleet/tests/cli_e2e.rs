@@ -308,8 +308,8 @@ fn usage_errors_exit_one() {
 }
 
 /// Removed inputs fail fast with exit 1: TOML specs (even with a valid
-/// JSON body), the `--store` backend switch and the `--admission`
-/// engine-mode switch.
+/// JSON body), the `--store` backend switch, the `--admission`
+/// engine-mode switch, worker shard mode and `trace diff`.
 #[test]
 fn removed_inputs_exit_one() {
     let dir = tmp_dir("removed");
@@ -347,6 +347,17 @@ fn removed_inputs_exit_one() {
             .unwrap();
         assert_eq!(out.status.code(), Some(1), "{verb:?} {flag}: {out:?}");
     }
+    // Shard mode is gone (claims are the one worker protocol), and so is
+    // `trace diff` (`check equiv` is the one trace comparator).
+    let out = bin()
+        .arg("worker")
+        .arg(&campaign)
+        .args(["--shard", "0/3"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "worker --shard: {out:?}");
+    let out = bin().args(["trace", "diff", "a", "b"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1), "trace diff: {out:?}");
     assert!(
         !dir.join("cells").exists(),
         "a rejected invocation must not touch the cache"

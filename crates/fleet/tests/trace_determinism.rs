@@ -14,7 +14,7 @@ use flexpipe_fleet::{
     CellResult, ClusterShape, DisruptionShape, FleetReport, PolicySpec, RunOptions, SweepSpec,
 };
 use flexpipe_model::ModelId;
-use flexpipe_obs::{first_divergence, parse_jsonl, TraceSummary};
+use flexpipe_obs::{parse_jsonl, TraceSummary};
 use flexpipe_serving::{AdmissionMode, TraceMode};
 use flexpipe_workload::LengthProfile;
 use proptest::prelude::*;
@@ -152,10 +152,7 @@ fn traces_are_byte_identical_across_concurrent_recorders() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     for t in &traces {
-        assert!(
-            first_divergence(&reference, t).is_none(),
-            "concurrent recording diverged"
-        );
+        assert!(*t == reference, "concurrent recording diverged");
     }
 
     // The JSONL round-trips and carries the expected vocabularies:
@@ -209,7 +206,7 @@ proptest! {
                 let (_, second) =
                     run_cell_observed(&spec, &cell, setup, admission, TraceMode::Full, false);
                 prop_assert!(
-                    first_divergence(&first.trace.to_jsonl(), &second.trace.to_jsonl()).is_none(),
+                    first.trace.to_jsonl() == second.trace.to_jsonl(),
                     "re-recording cell {} diverged", cell.id()
                 );
             }

@@ -1,9 +1,8 @@
 //! End-to-end exercise of the distributed campaign protocol through the
-//! binary: `fleet worker` in shard and claim modes, `fleet campaign
-//! assemble`, and the headline determinism contract — the assembled
-//! artifact set is byte-identical whether one process ran the campaign,
-//! three sharded workers split it, or three claiming workers raced over
-//! it, at shuffled thread counts.
+//! binary: `fleet worker`'s claim protocol, `fleet campaign assemble`,
+//! and the headline determinism contract — the assembled artifact set is
+//! byte-identical whether one process ran the campaign or three claiming
+//! workers raced over it, at shuffled thread counts.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -72,9 +71,9 @@ fn bench_json() -> String {
     .to_string()
 }
 
-/// A 5-cell campaign (4 sweep + 1 bench): enough cells that a 3-way
-/// shard is never empty and claim races actually happen, small enough
-/// for debug-build test time.
+/// A 5-cell campaign (4 sweep + 1 bench): enough cells that claim races
+/// among three workers actually happen, small enough for debug-build
+/// test time.
 fn write_campaign(dir: &Path) -> PathBuf {
     std::fs::write(dir.join("sweep.json"), sweep_json()).unwrap();
     std::fs::write(dir.join("bench.json"), bench_json()).unwrap();
@@ -131,9 +130,8 @@ fn assemble(campaign: &Path, cache: &Path, out_dir: &Path) -> Output {
     )
 }
 
-/// The tentpole contract: 1 process vs 3 sharded workers vs 3
-/// concurrent claiming workers (threads shuffled) — three topologies,
-/// one byte-identical artifact set.
+/// The tentpole contract: 1 process vs 3 concurrent claiming workers
+/// (threads shuffled) — two topologies, one byte-identical artifact set.
 #[test]
 fn topologies_assemble_byte_identical_artifacts() {
     let dir = tmp_dir("topo");
@@ -155,35 +153,7 @@ fn topologies_assemble_byte_identical_artifacts() {
     let reference = read_dir_bytes(&dir.join("out-1w"));
     assert_eq!(reference.len(), 3, "two reports + campaign.json");
 
-    // Topology 2: three sharded workers, disjoint cells, shuffled thread
-    // counts, then a cache-only assemble.
-    let cache = dir.join("cells-shard");
-    for (i, threads) in [(0, "2"), (1, "1"), (2, "3")] {
-        let out = run_ok(
-            bin()
-                .arg("worker")
-                .arg(&campaign)
-                .arg("--cache")
-                .arg(&cache)
-                .arg("--shard")
-                .arg(format!("{i}/3"))
-                .arg("--threads")
-                .arg(threads),
-        );
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains(&format!("shard {i}/3")),
-            "worker should announce its shard: {stderr}"
-        );
-    }
-    assemble(&campaign, &cache, &dir.join("out-shard"));
-    assert_eq!(
-        reference,
-        read_dir_bytes(&dir.join("out-shard")),
-        "sharded topology diverged from the single-process run"
-    );
-
-    // Topology 3: three claiming workers racing concurrently over the
+    // Topology 2: three claiming workers racing concurrently over the
     // full cell list, shuffled thread counts.
     let cache = dir.join("cells-claim");
     let children: Vec<std::process::Child> = [("wa", "2"), ("wb", "1"), ("wc", "3")]
@@ -425,8 +395,8 @@ fn killed_worker_resumes_without_recomputing_cached_cells() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The committed CI campaign across all three topologies. Debug-build
-/// expensive (40 real cells × 3 topologies) — `#[ignore]`d here; CI's
+/// The committed CI campaign across both topologies. Debug-build
+/// expensive (40 real cells × 2 topologies) — `#[ignore]`d here; CI's
 /// release-binary distributed smoke covers the same contract on every
 /// push.
 #[test]
@@ -448,22 +418,6 @@ fn committed_campaign_is_byte_identical_across_topologies() {
             .arg("--quiet"),
     );
     let reference = read_dir_bytes(&dir.join("out-1w"));
-
-    let cache = dir.join("cells-shard");
-    for i in 0..3 {
-        run_ok(
-            bin()
-                .arg("worker")
-                .arg(&campaign)
-                .arg("--cache")
-                .arg(&cache)
-                .arg("--shard")
-                .arg(format!("{i}/3"))
-                .arg("--quiet"),
-        );
-    }
-    assemble(&campaign, &cache, &dir.join("out-shard"));
-    assert_eq!(reference, read_dir_bytes(&dir.join("out-shard")));
 
     let cache = dir.join("cells-claim");
     let children: Vec<std::process::Child> = [("wa", "3"), ("wb", "2"), ("wc", "4")]

@@ -9,15 +9,8 @@
 //! post-spillover assignment: replay re-executes placements, it never
 //! re-decides them.
 
+pub use flexpipe_sim::mix64;
 use serde::{Deserialize, Serialize};
-
-/// SplitMix64 finalizer: a cheap, well-mixed 64-bit hash.
-pub fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// A consistent-hash ring: `vnodes` points per shard on a `u64` circle.
 ///

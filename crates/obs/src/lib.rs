@@ -4,11 +4,9 @@
 //!
 //! The crate is deliberately engine-independent — trace records carry
 //! plain integer ids and seconds, not engine types — so the same format
-//! works for the `fleet trace` CLI today and the planned
-//! schedule-equivalence checker later: two runs are behaviourally
-//! equivalent iff their trace files are byte-identical, and
-//! [`diff::first_divergence`] pinpoints the first event where they are
-//! not.
+//! works for the `fleet trace` CLI and the schedule-equivalence checker
+//! (`flexpipe-check`), which decides whether two traces mean the same
+//! run modulo the order of commuting events.
 //!
 //! Three layers, all always-compiled and cheaply disableable:
 //!
@@ -28,14 +26,12 @@
 
 #![warn(missing_docs)]
 
-pub mod diff;
 pub mod event;
 pub mod profile;
 pub mod recorder;
 pub mod registry;
 pub mod summary;
 
-pub use diff::{first_divergence, Divergence};
 pub use event::{TraceEvent, TraceRecord};
 pub use profile::Profiler;
 pub use recorder::{TraceMode, TraceRecorder};

@@ -214,7 +214,7 @@ pub fn churn(n: usize, ops: usize, mode: AdmissionMode) -> u64 {
         }
         // Deterministic churn: completions free capacity, occasional
         // holds/releases move slots in and out of the admissible set.
-        let r = crate::engine::indexes::splitmix(&mut state);
+        let r = flexpipe_sim::splitmix64(&mut state);
         let j = (r % n as u64) as usize;
         if op % 2 == 0 && slots[j].active > 0 {
             slots[j].active -= 1;

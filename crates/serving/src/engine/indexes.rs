@@ -23,6 +23,7 @@
 use std::collections::HashMap;
 
 use flexpipe_cluster::{Cluster, ClusterSpec, GpuId, LeaseId, ServerId};
+use flexpipe_sim::splitmix64;
 
 use crate::admission::EngineMode;
 
@@ -69,17 +70,6 @@ impl DecodeSlotTracker {
     }
 }
 
-/// SplitMix64 step: the single deterministic, dependency-free pattern
-/// driver behind every churn harness ([`crate::admission::churn`] and
-/// the two below) — one copy, so the harnesses can never desynchronize.
-pub(crate) fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 /// Deterministic decode-slot churn over `n` synthetic instances.
 ///
 /// Reproduces `launch_decode`'s exact data shape: each instance owns a
@@ -100,7 +90,7 @@ pub fn decode_slot_churn(n: usize, ops: usize, mode: EngineMode) -> u64 {
     let mut state = 0xDEC0DEu64.wrapping_add(n as u64);
     let mut checksum = 0u64;
     for _ in 0..ops {
-        let r = splitmix(&mut state);
+        let r = splitmix64(&mut state);
         let i = (r % n as u64) as usize;
         // The launch decision's read: how many decode passes are in flight?
         let count = match mode {
@@ -187,7 +177,7 @@ pub fn server_load_churn(servers: usize, ops: usize, mode: EngineMode) -> u64 {
     };
 
     for _ in 0..ops {
-        let r = splitmix(&mut state);
+        let r = splitmix64(&mut state);
         // The preemption-targeting read: who is the rank-th busiest?
         let rank = (r % 4) as u32;
         let picked = match mode {

@@ -21,6 +21,7 @@
 //! churn that provably does not change semantics (refactors, comments)
 //! should keep caches warm.
 
+use flexpipe_sim::{fnv1a, FNV_OFFSET};
 use serde::{Serialize, Value};
 
 use crate::config::EngineConfig;
@@ -40,48 +41,35 @@ use crate::config::EngineConfig;
 /// high rates.
 pub const ENGINE_SEMANTICS_VERSION: u32 = 3;
 
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Structural FNV-1a over a serialized value tree. Tags every node with a
 /// kind byte so `[1]` and `"1"` and `{"1": null}` hash apart; floats hash
 /// by bit pattern (the same bits that make artifacts byte-stable);
 /// strings and map keys are length-prefixed so the encoding is injective
 /// (adjacent strings cannot re-segment into the same byte stream).
 fn hash_value(v: &Value, h: u64) -> u64 {
-    let str_bytes = |h: u64, s: &str| fnv(fnv(h, &(s.len() as u64).to_le_bytes()), s.as_bytes());
+    let str_bytes =
+        |h: u64, s: &str| fnv1a(fnv1a(h, &(s.len() as u64).to_le_bytes()), s.as_bytes());
     match v {
-        Value::Null => fnv(h, b"n"),
-        Value::Bool(b) => fnv(h, if *b { b"t" } else { b"f" }),
-        Value::Int(x) => fnv(fnv(h, b"i"), &x.to_le_bytes()),
-        Value::UInt(x) => fnv(fnv(h, b"u"), &x.to_le_bytes()),
-        Value::Float(x) => fnv(fnv(h, b"d"), &x.to_bits().to_le_bytes()),
-        Value::Str(s) => str_bytes(fnv(h, b"s"), s),
+        Value::Null => fnv1a(h, b"n"),
+        Value::Bool(b) => fnv1a(h, if *b { b"t" } else { b"f" }),
+        Value::Int(x) => fnv1a(fnv1a(h, b"i"), &x.to_le_bytes()),
+        Value::UInt(x) => fnv1a(fnv1a(h, b"u"), &x.to_le_bytes()),
+        Value::Float(x) => fnv1a(fnv1a(h, b"d"), &x.to_bits().to_le_bytes()),
+        Value::Str(s) => str_bytes(fnv1a(h, b"s"), s),
         Value::Seq(xs) => {
-            let mut h = fnv(h, b"[");
+            let mut h = fnv1a(h, b"[");
             for x in xs {
                 h = hash_value(x, h);
             }
-            fnv(h, b"]")
+            fnv1a(h, b"]")
         }
         Value::Map(m) => {
-            let mut h = fnv(h, b"{");
+            let mut h = fnv1a(h, b"{");
             for (k, x) in m {
-                h = str_bytes(fnv(h, b"k"), k);
+                h = str_bytes(fnv1a(h, b"k"), k);
                 h = hash_value(x, h);
             }
-            fnv(h, b"}")
+            fnv1a(h, b"}")
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Deterministic discrete-event simulation engine for the FlexPipe
 //! reproduction.
 //!
-//! The crate provides four small, orthogonal pieces:
+//! The crate provides five small, orthogonal pieces:
 //!
 //! - [`time`] — nanosecond [`time::SimTime`] instants and
 //!   [`time::SimDuration`] spans;
@@ -9,6 +9,8 @@
 //!   deterministic tie-breaking makes whole runs replayable;
 //! - [`rng`] — a stable xoshiro256++ [`rng::SimRng`] with labelled stream
 //!   derivation, so simulations reproduce bit-for-bit across builds;
+//! - [`hash`] — the shared FNV-1a and SplitMix64 hashes behind every
+//!   cache key, fingerprint and derived seed;
 //! - [`dist`] — the samplers the experiments need, most importantly
 //!   Gamma-renewal inter-arrivals with an exact target coefficient of
 //!   variation ([`dist::GammaInterarrival`]).
@@ -21,11 +23,13 @@
 #![warn(missing_docs)]
 
 pub mod dist;
+pub mod hash;
 pub mod queue;
 pub mod rng;
 pub mod time;
 
 pub use dist::{GammaInterarrival, LogNormalSampler, SampleStats};
+pub use hash::{fnv1a, mix64, splitmix64, FNV_OFFSET};
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -13,14 +13,7 @@
 
 use rand::RngCore;
 
-/// SplitMix64 step, used for seed expansion (reference implementation).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
+use crate::hash::{fnv1a, splitmix64, FNV_OFFSET};
 
 /// A deterministic xoshiro256++ generator with stable cross-version output.
 ///
@@ -73,13 +66,7 @@ impl SimRng {
 
     /// Derives a child stream from a string label (e.g. a component name).
     pub fn stream_named(&self, label: &str) -> SimRng {
-        // FNV-1a over the label bytes; stable and dependency-free.
-        let mut h: u64 = 0xCBF29CE484222325;
-        for b in label.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x100000001B3);
-        }
-        self.stream(h)
+        self.stream(fnv1a(FNV_OFFSET, label.as_bytes()))
     }
 
     #[inline]
